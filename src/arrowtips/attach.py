@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy.polynomial.legendre
-
 from . import catalog
 from .catalog import Side, TipId
 from .geometry import AffineTransform, Point, rotation_to
@@ -83,10 +81,21 @@ def _segment_points(segment: Segment) -> tuple[Point, ...]:
     return (segment.start, segment.control1, segment.control2, segment.end)
 
 
-# 16-point Gauss-Legendre quadrature on [0, 1]
-_GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(16)
-_GL_NODES = tuple(0.5 * (x + 1.0) for x in _GL_NODES)
-_GL_WEIGHTS = tuple(0.5 * w for w in _GL_WEIGHTS)
+# 16-point Gauss-Legendre quadrature on [0, 1]: the nodes and weights of
+# numpy.polynomial.legendre.leggauss(16) mapped from [-1, 1], printed to
+# round-trip precision.
+_GL_NODES = (
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+)
+_GL_WEIGHTS = (
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
+)
 
 
 def _cubic_point(segment: CubicSegment, t: float) -> Point:
@@ -264,9 +273,12 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
 def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
     """Shorten ``path`` for ``tip`` and return it with the placed program."""
     right = catalog.extents(tip, w).right
-    if right >= path_length(path):
+    length = path_length(path)
+    if not math.isfinite(length):
+        raise ValueError("path length overflows")
+    if right >= length:
         raise PathTooShortError(
-            f"tip {tip.name!r} needs {right} of arc length, path has {path_length(path)}"
+            f"tip {tip.name!r} needs {right} of arc length, path has {length}"
         )
     placed = transform_program(
         catalog.program(tip, w),

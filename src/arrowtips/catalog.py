@@ -19,7 +19,8 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 from .geometry import Point, add, polar
 from .pathmodel import (
@@ -29,7 +30,6 @@ from .pathmodel import (
     LineJoin,
     RenderProgram,
     SetCap,
-    SetDashSolid,
     SetJoin,
     SetLineWidthFactor,
     circle,
@@ -65,7 +65,6 @@ class TipDefinition:
 
     start_name: str
     end_name: str
-    base_unit: Optional[Callable[[float], float]]
     extents_fn: Callable[[float], Extents]
     program_fn: Callable[[float], RenderProgram]
 
@@ -136,7 +135,7 @@ def _bracket_program(w: float) -> RenderProgram:
     a = 2.0 + 1.5 * w
     b = a + w
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
+        SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
         move_to(-0.5 * b, -a),
         line_to(0.0, -a),
         line_to(0.0, a),
@@ -155,7 +154,7 @@ def _paren_extents(w: float) -> Extents:
 def _paren_program(w: float) -> RenderProgram:
     a = _PAREN_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND),
+        SetCap(LineCap.ROUND),
         move_to(-0.5 * a, -a),
         curve_to(0.25 * a, -0.5 * a, 0.25 * a, 0.5 * a, -0.5 * a, a),
         Action.STROKE,
@@ -164,7 +163,7 @@ def _paren_program(w: float) -> RenderProgram:
 
 # --- open vees and filled/open triangles -------------------------------------
 
-def _vee_arm_ops(a: float, apex_x: float, arm_angle: float, arm_reach: float):
+def _vee_arm_ops(apex_x: float, arm_angle: float, arm_reach: float):
     """Upper arm, apex, lower arm of a symmetric vee opening to the left."""
     apex = Point(apex_x, 0.0)
     upper = add(apex, polar(arm_angle, arm_reach))
@@ -176,48 +175,49 @@ def _vee_arm_ops(a: float, apex_x: float, arm_angle: float, arm_reach: float):
     )
 
 
-def _angle_90_extents(w: float) -> Extents:
-    a = _ANGLE_UNIT(w)
-    return Extents(-(5.5 * a + 0.5 * w), 0.5 * a + 0.707 * w)
+def _vee_family(back: float, front_w: float, arms: Callable[[float], tuple]):
+    """Extents and program functions of ``angle N`` and of ``triangle N``.
+
+    Both draw the same ``arms(a)`` and reach ``back`` units behind and
+    ``front_w`` widths past the apex at half a unit.  They differ in the base
+    unit and the paint: the angle is an open stroke with round caps, the
+    triangle is closed and filled.
+    """
+
+    def extents_fn(unit):
+        def extents(w: float) -> Extents:
+            a = unit(w)
+            return Extents(-(back * a + 0.5 * w), 0.5 * a + front_w * w)
+        return extents
+
+    def angle_program(w: float) -> RenderProgram:
+        return RenderProgram((
+            SetCap(LineCap.ROUND), SetJoin(LineJoin.MITER),
+            *arms(_ANGLE_UNIT(w)),
+            Action.STROKE,
+        ))
+
+    def triangle_program(w: float) -> RenderProgram:
+        return RenderProgram((
+            SetJoin(LineJoin.MITER),
+            *arms(_TRIANGLE_UNIT(w)),
+            ClosePath(),
+            Action.FILL_STROKE,
+        ))
+
+    return ((extents_fn(_ANGLE_UNIT), angle_program),
+            (extents_fn(_TRIANGLE_UNIT), triangle_program))
 
 
-def _angle_90_program(w: float) -> RenderProgram:
-    a = _ANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND), SetJoin(LineJoin.MITER),
-        move_to(-5.5 * a, -6.0 * a),
-        line_to(0.5 * a, 0.0),
-        line_to(-5.5 * a, 6.0 * a),
-        Action.STROKE,
-    ))
-
-
-def _angle_60_extents(w: float) -> Extents:
-    a = _ANGLE_UNIT(w)
-    return Extents(-(7.29 * a + 0.5 * w), 0.5 * a + w)
-
-
-def _angle_60_program(w: float) -> RenderProgram:
-    a = _ANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.5 * a, 150.0, 9.0 * a),
-        Action.STROKE,
-    ))
-
-
-def _angle_45_extents(w: float) -> Extents:
-    a = _ANGLE_UNIT(w)
-    return Extents(-(8.705 * a + 0.5 * w), 0.5 * a + 1.28 * w)
-
-
-def _angle_45_program(w: float) -> RenderProgram:
-    a = _ANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.5 * a, 157.0, 10.0 * a),
-        Action.STROKE,
-    ))
+_ANGLE_90, _TRIANGLE_90 = _vee_family(5.5, 0.707, lambda a: (
+    move_to(-5.5 * a, -6.0 * a),
+    line_to(0.5 * a, 0.0),
+    line_to(-5.5 * a, 6.0 * a),
+))
+_ANGLE_60, _TRIANGLE_60 = _vee_family(
+    7.29, 1.0, lambda a: _vee_arm_ops(0.5 * a, 150.0, 9.0 * a))
+_ANGLE_45, _TRIANGLE_45 = _vee_family(
+    8.705, 1.28, lambda a: _vee_arm_ops(0.5 * a, 157.0, 10.0 * a))
 
 
 def _filled_dot_extents(w: float) -> Extents:
@@ -228,7 +228,6 @@ def _filled_dot_extents(w: float) -> Extents:
 def _filled_dot_program(w: float) -> RenderProgram:
     a = _DOT_UNIT(w)
     return RenderProgram((
-        SetDashSolid(),
         circle(-3.0 * a, 0.0, 4.5 * a),
         Action.FILL_STROKE,
     ))
@@ -242,7 +241,6 @@ def _open_dot_extents(w: float) -> Extents:
 def _open_dot_program(w: float) -> RenderProgram:
     a = _DOT_UNIT(w)
     return RenderProgram((
-        SetDashSolid(),
         circle(4.5 * a, 0.0, 4.5 * a),
         Action.STROKE,
     ))
@@ -256,7 +254,7 @@ def _diamond_extents(w: float) -> Extents:
 def _diamond_program(w: float) -> RenderProgram:
     a = _DIAMOND_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.ROUND),
+        SetJoin(LineJoin.ROUND),
         move_to(a, 0.0),
         line_to(-6.0 * a, 4.0 * a),
         line_to(-13.0 * a, 0.0),
@@ -274,60 +272,13 @@ def _open_diamond_extents(w: float) -> Extents:
 def _open_diamond_program(w: float) -> RenderProgram:
     a = _DIAMOND_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.ROUND),
+        SetJoin(LineJoin.ROUND),
         move_to(14.0 * a, 0.0),
         line_to(7.0 * a, 4.0 * a),
         line_to(0.0, 0.0),
         line_to(7.0 * a, -4.0 * a),
         ClosePath(),
         Action.STROKE,
-    ))
-
-
-def _triangle_90_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-(5.5 * a + 0.5 * w), 0.5 * a + 0.707 * w)
-
-
-def _triangle_90_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        move_to(-5.5 * a, -6.0 * a),
-        line_to(0.5 * a, 0.0),
-        line_to(-5.5 * a, 6.0 * a),
-        ClosePath(),
-        Action.FILL_STROKE,
-    ))
-
-
-def _triangle_60_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-(7.29 * a + 0.5 * w), 0.5 * a + w)
-
-
-def _triangle_60_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.5 * a, 150.0, 9.0 * a),
-        ClosePath(),
-        Action.FILL_STROKE,
-    ))
-
-
-def _triangle_45_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-(8.705 * a + 0.5 * w), 0.5 * a + 1.28 * w)
-
-
-def _triangle_45_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.5 * a, 157.0, 10.0 * a),
-        ClosePath(),
-        Action.FILL_STROKE,
     ))
 
 
@@ -339,7 +290,7 @@ def _open_triangle_90_extents(w: float) -> Extents:
 def _open_triangle_90_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
+        SetJoin(LineJoin.MITER),
         move_to(0.0, -6.0 * a),
         line_to(6.0 * a, 0.0),
         line_to(0.0, 6.0 * a),
@@ -356,7 +307,7 @@ def _open_triangle_90_reversed_extents(w: float) -> Extents:
 def _open_triangle_90_reversed_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
+        SetJoin(LineJoin.MITER),
         move_to(6.0 * a, -6.0 * a),
         line_to(0.0, 0.0),
         line_to(6.0 * a, 6.0 * a),
@@ -373,8 +324,8 @@ def _open_triangle_60_extents(w: float) -> Extents:
 def _open_triangle_60_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 7.794 * a, 150.0, 9.0 * a),
+        SetJoin(LineJoin.MITER),
+        *_vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
         ClosePath(),
         Action.STROKE,
     ))
@@ -388,8 +339,8 @@ def _open_triangle_60_reversed_extents(w: float) -> Extents:
 def _open_triangle_60_reversed_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.0, 30.0, 9.0 * a),
+        SetJoin(LineJoin.MITER),
+        *_vee_arm_ops(0.0, 30.0, 9.0 * a),
         ClosePath(),
         Action.STROKE,
     ))
@@ -403,8 +354,8 @@ def _open_triangle_45_extents(w: float) -> Extents:
 def _open_triangle_45_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 9.205 * a, 157.0, 10.0 * a),
+        SetJoin(LineJoin.MITER),
+        *_vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
         ClosePath(),
         Action.STROKE,
     ))
@@ -418,8 +369,8 @@ def _open_triangle_45_reversed_extents(w: float) -> Extents:
 def _open_triangle_45_reversed_program(w: float) -> RenderProgram:
     a = _TRIANGLE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(a, 0.0, 23.0, 10.0 * a),
+        SetJoin(LineJoin.MITER),
+        *_vee_arm_ops(0.0, 23.0, 10.0 * a),
         ClosePath(),
         Action.STROKE,
     ))
@@ -451,7 +402,7 @@ def _stealth_prime_extents(w: float) -> Extents:
 def _stealth_prime_program(w: float) -> RenderProgram:
     a = _CURVE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.ROUND),
+        SetJoin(LineJoin.ROUND),
         move_to(2.0 * a, 0.0),
         curve_to(-0.5 * a, 0.5 * a, -3.0 * a, 1.5 * a, -6.0 * a, 3.25 * a),
         curve_to(-3.0 * a, a, -3.0 * a, -a, -6.0 * a, -3.25 * a),
@@ -472,7 +423,7 @@ def _to_program(w: float, sign: float) -> RenderProgram:
     a = _CURVE_UNIT(w)
     return RenderProgram((
         SetLineWidthFactor(0.8),
-        SetDashSolid(), SetCap(LineCap.ROUND), SetJoin(LineJoin.ROUND),
+        SetCap(LineCap.ROUND), SetJoin(LineJoin.ROUND),
         move_to(-3.0 * a, sign * 4.0 * a),
         curve_to(-2.75 * a, sign * 2.5 * a, 0.0, sign * 0.25 * a, 0.75 * a, 0.0),
         curve_to(0.55 * a, wl(-sign * 0.125),
@@ -481,14 +432,6 @@ def _to_program(w: float, sign: float) -> RenderProgram:
         line_to(0.0, wl(-sign * 0.125)),
         Action.STROKE,
     ))
-
-
-def _left_to_program(w: float) -> RenderProgram:
-    return _to_program(w, 1.0)
-
-
-def _right_to_program(w: float) -> RenderProgram:
-    return _to_program(w, -1.0)
 
 
 def _to_reversed_extents(w: float) -> Extents:
@@ -502,7 +445,7 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
     # The barb curve is issued twice with differing final y, as declared.
     a = _CURVE_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetJoin(LineJoin.ROUND), SetCap(LineCap.BUTT),
+        SetJoin(LineJoin.ROUND), SetCap(LineCap.BUTT),
         move_to(wl(0.5), 0.0),
         line_to(wl(-0.1), 0.0),
         Action.STROKE,
@@ -515,14 +458,6 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
         curve_to(3.5 * a, sign * 2.5 * a, 0.75 * a, sign * 0.25 * a, 0.0, wl(-sign * 0.125)),
         Action.STROKE,
     ))
-
-
-def _left_to_reversed_program(w: float) -> RenderProgram:
-    return _to_reversed_program(w, 1.0)
-
-
-def _right_to_reversed_program(w: float) -> RenderProgram:
-    return _to_reversed_program(w, -1.0)
 
 
 # --- hooks --------------------------------------------------------------------
@@ -539,24 +474,13 @@ def _hook_arc_ops(a: float, sign: float):
     )
 
 
-def _left_hook_program(w: float) -> RenderProgram:
+def _hook_program(w: float, sign: float) -> RenderProgram:
     a = _DOT_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND),
+        SetCap(LineCap.ROUND),
         move_to(0.0, 0.0),
         line_to(0.75 * a, 0.0),
-        *_hook_arc_ops(a, 1.0),
-        Action.STROKE,
-    ))
-
-
-def _right_hook_program(w: float) -> RenderProgram:
-    a = _DOT_UNIT(w)
-    return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND),
-        move_to(0.0, 0.0),
-        line_to(0.75 * a, 0.0),
-        *_hook_arc_ops(a, -1.0),
+        *_hook_arc_ops(a, sign),
         Action.STROKE,
     ))
 
@@ -564,7 +488,7 @@ def _right_hook_program(w: float) -> RenderProgram:
 def _hooks_program(w: float) -> RenderProgram:
     a = _DOT_UNIT(w)
     return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND),
+        SetCap(LineCap.ROUND),
         move_to(0.0, 0.0),
         line_to(0.75 * a, 0.0),
         *_hook_arc_ops(a, 1.0),
@@ -604,7 +528,7 @@ def _round_cap_extents(w: float) -> Extents:
 
 def _round_cap_program(w: float) -> RenderProgram:
     return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.ROUND),
+        SetCap(LineCap.ROUND),
         move_to(0.0, 0.0),
         line_to(wl(0.5), 0.0),
         Action.STROKE,
@@ -617,7 +541,7 @@ def _butt_cap_extents(w: float) -> Extents:
 
 def _butt_cap_program(w: float) -> RenderProgram:
     return RenderProgram((
-        SetDashSolid(), SetCap(LineCap.BUTT),
+        SetCap(LineCap.BUTT),
         move_to(wl(-0.1), 0.0),
         line_to(wl(0.5), 0.0),
         Action.STROKE,
@@ -700,8 +624,8 @@ _BY_END: dict[str, TipDefinition] = {}
 _PARTNER: dict[str, str] = {}
 
 
-def _declare(start: str, end: str, base_unit, extents_fn, program_fn) -> TipDefinition:
-    definition = TipDefinition(start, end, base_unit, extents_fn, program_fn)
+def _declare(start: str, end: str, extents_fn, program_fn) -> TipDefinition:
+    definition = TipDefinition(start, end, extents_fn, program_fn)
     _REGISTRY.append(definition)
     _BY_START[start] = definition
     _BY_END[end] = definition
@@ -719,69 +643,68 @@ def _declare_reversed(start: str, end: str, original_start: str, original_end: s
     def program_fn(w: float, _orig=original) -> RenderProgram:
         return mirror_x(_orig.program_fn(w))
 
-    definition = _declare(start, end, original.base_unit, extents_fn, program_fn)
+    definition = _declare(start, end, extents_fn, program_fn)
     _PARTNER[end] = original_end
     _PARTNER[original_end] = end
     return definition
 
 
-_declare("[", "]", _BRACKET_UNIT, _bracket_extents, _bracket_program)
+_declare("[", "]", _bracket_extents, _bracket_program)
 _declare_reversed("]", "[", "[", "]")
-_declare("(", ")", _PAREN_UNIT, _paren_extents, _paren_program)
+_declare("(", ")", _paren_extents, _paren_program)
 _declare_reversed(")", "(", "(", ")")
-_declare("angle 90", "angle 90", _ANGLE_UNIT, _angle_90_extents, _angle_90_program)
+_declare("angle 90", "angle 90", *_ANGLE_90)
 _declare_reversed("angle 90 reversed", "angle 90 reversed", "angle 90", "angle 90")
-_declare("angle 60", "angle 60", _ANGLE_UNIT, _angle_60_extents, _angle_60_program)
+_declare("angle 60", "angle 60", *_ANGLE_60)
 _declare_reversed("angle 60 reversed", "angle 60 reversed", "angle 60", "angle 60")
-_declare("angle 45", "angle 45", _ANGLE_UNIT, _angle_45_extents, _angle_45_program)
+_declare("angle 45", "angle 45", *_ANGLE_45)
 _declare_reversed("angle 45 reversed", "angle 45 reversed", "angle 45", "angle 45")
-_declare("*", "*", _DOT_UNIT, _filled_dot_extents, _filled_dot_program)
-_declare("o", "o", _DOT_UNIT, _open_dot_extents, _open_dot_program)
-_declare("diamond", "diamond", _DIAMOND_UNIT, _diamond_extents, _diamond_program)
-_declare("open diamond", "open diamond", _DIAMOND_UNIT, _open_diamond_extents, _open_diamond_program)
-_declare("triangle 90", "triangle 90", _TRIANGLE_UNIT, _triangle_90_extents, _triangle_90_program)
+_declare("*", "*", _filled_dot_extents, _filled_dot_program)
+_declare("o", "o", _open_dot_extents, _open_dot_program)
+_declare("diamond", "diamond", _diamond_extents, _diamond_program)
+_declare("open diamond", "open diamond", _open_diamond_extents, _open_diamond_program)
+_declare("triangle 90", "triangle 90", *_TRIANGLE_90)
 _declare_reversed("triangle 90 reversed", "triangle 90 reversed", "triangle 90", "triangle 90")
-_declare("triangle 60", "triangle 60", _TRIANGLE_UNIT, _triangle_60_extents, _triangle_60_program)
+_declare("triangle 60", "triangle 60", *_TRIANGLE_60)
 _declare_reversed("triangle 60 reversed", "triangle 60 reversed", "triangle 60", "triangle 60")
-_declare("triangle 45", "triangle 45", _TRIANGLE_UNIT, _triangle_45_extents, _triangle_45_program)
+_declare("triangle 45", "triangle 45", *_TRIANGLE_45)
 _declare_reversed("triangle 45 reversed", "triangle 45 reversed", "triangle 45", "triangle 45")
-_declare("open triangle 90", "open triangle 90", _TRIANGLE_UNIT,
+_declare("open triangle 90", "open triangle 90",
          _open_triangle_90_extents, _open_triangle_90_program)
-_declare("open triangle 90 reversed", "open triangle 90 reversed", _TRIANGLE_UNIT,
+_declare("open triangle 90 reversed", "open triangle 90 reversed",
          _open_triangle_90_reversed_extents, _open_triangle_90_reversed_program)
-_declare("open triangle 60", "open triangle 60", _TRIANGLE_UNIT,
+_declare("open triangle 60", "open triangle 60",
          _open_triangle_60_extents, _open_triangle_60_program)
-_declare("open triangle 60 reversed", "open triangle 60 reversed", _TRIANGLE_UNIT,
+_declare("open triangle 60 reversed", "open triangle 60 reversed",
          _open_triangle_60_reversed_extents, _open_triangle_60_reversed_program)
-_declare("open triangle 45", "open triangle 45", _TRIANGLE_UNIT,
+_declare("open triangle 45", "open triangle 45",
          _open_triangle_45_extents, _open_triangle_45_program)
-_declare("open triangle 45 reversed", "open triangle 45 reversed", _TRIANGLE_UNIT,
+_declare("open triangle 45 reversed", "open triangle 45 reversed",
          _open_triangle_45_reversed_extents, _open_triangle_45_reversed_program)
-_declare("latex'", "latex'", _CURVE_UNIT, _latex_prime_extents, _latex_prime_program)
+_declare("latex'", "latex'", _latex_prime_extents, _latex_prime_program)
 _declare_reversed("latex' reversed", "latex' reversed", "latex'", "latex'")
-_declare("stealth'", "stealth'", _CURVE_UNIT, _stealth_prime_extents, _stealth_prime_program)
+_declare("stealth'", "stealth'", _stealth_prime_extents, _stealth_prime_program)
 _declare_reversed("stealth' reversed", "stealth' reversed", "stealth'", "stealth'")
-_declare("left to", "left to", _CURVE_UNIT, _to_extents, _left_to_program)
-_declare("right to", "right to", _CURVE_UNIT, _to_extents, _right_to_program)
-_declare("left to reversed", "left to reversed", _CURVE_UNIT,
-         _to_reversed_extents, _left_to_reversed_program)
-_declare("right to reversed", "right to reversed", _CURVE_UNIT,
-         _to_reversed_extents, _right_to_reversed_program)
-_declare("left hook", "left hook", _DOT_UNIT, _hook_extents, _left_hook_program)
+_declare("left to", "left to", _to_extents, partial(_to_program, sign=1.0))
+_declare("right to", "right to", _to_extents, partial(_to_program, sign=-1.0))
+_declare("left to reversed", "left to reversed",
+         _to_reversed_extents, partial(_to_reversed_program, sign=1.0))
+_declare("right to reversed", "right to reversed",
+         _to_reversed_extents, partial(_to_reversed_program, sign=-1.0))
+_declare("left hook", "left hook", _hook_extents, partial(_hook_program, sign=1.0))
 _declare_reversed("left hook reversed", "left hook reversed", "left hook", "left hook")
-_declare("right hook", "right hook", _DOT_UNIT, _hook_extents, _right_hook_program)
+_declare("right hook", "right hook", _hook_extents, partial(_hook_program, sign=-1.0))
 _declare_reversed("right hook reversed", "right hook reversed", "right hook", "right hook")
-_declare("hooks", "hooks", _DOT_UNIT, _hook_extents, _hooks_program)
+_declare("hooks", "hooks", _hook_extents, _hooks_program)
 _declare_reversed("hooks reversed", "hooks reversed", "hooks", "hooks")
-_declare("serif cm", "serif cm", _SERIF_UNIT, _serif_extents, _serif_program)
-_declare("round cap", "round cap", None, _round_cap_extents, _round_cap_program)
-_declare("butt cap", "butt cap", None, _butt_cap_extents, _butt_cap_program)
-_declare("triangle 90 cap", "triangle 90 cap", None, _triangle_cap_extents, _triangle_cap_program)
-_declare("triangle 90 cap reversed", "triangle 90 cap reversed", None,
+_declare("serif cm", "serif cm", _serif_extents, _serif_program)
+_declare("round cap", "round cap", _round_cap_extents, _round_cap_program)
+_declare("butt cap", "butt cap", _butt_cap_extents, _butt_cap_program)
+_declare("triangle 90 cap", "triangle 90 cap", _triangle_cap_extents, _triangle_cap_program)
+_declare("triangle 90 cap reversed", "triangle 90 cap reversed",
          _triangle_cap_extents, _triangle_cap_reversed_program)
-_declare("fast cap", "fast cap", None, _fast_cap_extents, _fast_cap_program)
-_declare("fast cap reversed", "fast cap reversed", None,
-         _fast_cap_extents, _fast_cap_reversed_program)
+_declare("fast cap", "fast cap", _fast_cap_extents, _fast_cap_program)
+_declare("fast cap reversed", "fast cap reversed", _fast_cap_extents, _fast_cap_reversed_program)
 
 
 # --- public API -------------------------------------------------------------------
@@ -835,23 +758,3 @@ def reverse_tip(tip: TipId) -> TipId:
 def declared_reversals() -> dict[str, str]:
     """End-name pairs linked by declared reversal, in both directions."""
     return dict(_PARTNER)
-
-
-def dump_lines() -> list[str]:
-    """Machine-readable extent table: affine coefficients per entry.
-
-    Coefficients are recovered from two evaluations, so they match the
-    formulas to rounding error only.
-    """
-    lines = ["# end name\tstart name\tl0\tl1\tr0\tr1"]
-    for definition in _REGISTRY:
-        e1 = definition.extents_fn(1.0)
-        e2 = definition.extents_fn(2.0)
-        l1 = e2.left - e1.left
-        r1 = e2.right - e1.right
-        l0 = e1.left - l1
-        r0 = e1.right - r1
-        lines.append(
-            f"{definition.end_name}\t{definition.start_name}\t{l0!r}\t{l1!r}\t{r0!r}\t{r1!r}"
-        )
-    return lines

@@ -67,15 +67,17 @@ def parse_path_literal(text: str) -> HostPath:
     return HostPath(tuple(segments))
 
 
-def _positive_width(text: str) -> float:
-    value = float(text)
+def _drawable_width(value: float) -> float:
+    """``value`` if it is a stroke width the SVG output can show."""
     if not value > 0:
-        raise ValueError(f"stroke width must be positive, got {text}")
+        raise ValueError(f"stroke width must be positive, got {value}")
+    if svg.format_number(value) == "0":
+        raise ValueError(f"stroke width {value} would be written as 0")
     return value
 
 
 def _parse_widths(text: str) -> tuple[float, ...]:
-    widths = tuple(_positive_width(part) for part in text.split(","))
+    widths = tuple(_drawable_width(float(part)) for part in text.split(","))
     if not widths:
         raise ValueError("need at least one width")
     return widths
@@ -105,7 +107,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     host = parse_path_literal(args.path)
-    scene = decorate(host, parse(args.spec), args.width)
+    scene = decorate(host, parse(args.spec), _drawable_width(args.width))
     min_x, min_y, max_x, max_y = svg.scene_bounds(scene)
     pad = 4.0
     label_zone = 12.0
@@ -158,9 +160,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_spec_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--spec VALUE`` written as ``--spec=VALUE``.
+
+    argparse reads a word that starts with ``-`` and has no space as an
+    option, so the end-only spec ``-latex'`` would otherwise not reach
+    ``--spec``.  The word after ``--spec`` is always its value.
+    """
+    out: list[str] = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word == "--spec" else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_spec_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,7 +1,7 @@
 """Points and affine maps in a y-up plane measured in pt.
 
 Angles are degrees everywhere; conversion to radians happens only inside
-``polar`` and ``rotation``.
+``polar``.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point components must be finite, got ({self.x}, {self.y})")
 
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-
-ORIGIN = Point(0.0, 0.0)
-
 
 def add(p: Point, q: Point) -> Point:
     return Point(p.x + q.x, p.y + q.y)
@@ -34,14 +28,6 @@ def add(p: Point, q: Point) -> Point:
 
 def sub(p: Point, q: Point) -> Point:
     return Point(p.x - q.x, p.y - q.y)
-
-
-def scale(p: Point, factor: float) -> Point:
-    return Point(p.x * factor, p.y * factor)
-
-
-def norm(p: Point) -> float:
-    return math.hypot(p.x, p.y)
 
 
 def polar(angle: float, radius: float) -> Point:
@@ -62,26 +48,6 @@ class AffineTransform:
     d: float
     tx: float
     ty: float
-
-
-IDENTITY = AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-MIRROR_X = AffineTransform(-1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-MIRROR_Y = AffineTransform(1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
-
-
-def translation(tx: float, ty: float = 0.0) -> AffineTransform:
-    return AffineTransform(1.0, 0.0, 0.0, 1.0, tx, ty)
-
-
-def xshift(dx: float) -> AffineTransform:
-    return translation(dx, 0.0)
-
-
-def rotation(angle: float) -> AffineTransform:
-    """Counterclockwise rotation about the origin by ``angle`` degrees."""
-    rad = math.radians(angle)
-    c, s = math.cos(rad), math.sin(rad)
-    return AffineTransform(c, s, -s, c, 0.0, 0.0)
 
 
 def rotation_to(direction: Point) -> AffineTransform:

@@ -1,17 +1,25 @@
 """Render programs: path ops, graphics-state ops, and sequential evaluation.
 
+A program is a sequence of path ops (move, line, curve, close, circle), state
+ops (line cap, line join, width-register factor, origin translation) and
+actions (stroke, fill, fill and stroke).
+
 Coordinates inside a program are stored as ``fixed + widths * W`` where W is a
 live line-width register.  The register starts at the host stroke width and may
 be rescaled mid-program, which changes what later register-relative coordinates
 resolve to.  Evaluating a program yields drawables whose outlines contain plain
 float coordinates only.
+
+Each path op rebuilds itself from its coordinate pairs put through a point
+map.  Evaluation, mirroring and rigid placement are three choices of that map,
+applied by one mapper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .geometry import AffineTransform
 
@@ -31,6 +39,10 @@ class Scalar:
 
 
 Coord = Union[float, Scalar]
+# How a coordinate map sees a path op: each (x, y) pair goes through a point
+# map, and a circle's radius through a length map.
+PointMap = Callable[[Coord, Coord], tuple[Coord, Coord]]
+LengthMap = Callable[[Coord], Coord]
 
 
 def wl(factor: float) -> Scalar:
@@ -61,15 +73,26 @@ class Action(Enum):
 
 
 @dataclass(frozen=True)
-class MoveTo:
+class _PointOp:
+    """An op with a single point: the end of a move or of a line."""
+
     x: Coord
     y: Coord
 
+    @property
+    def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
+        return ((self.x, self.y),)
 
-@dataclass(frozen=True)
-class LineTo:
-    x: Coord
-    y: Coord
+    def map(self, point: PointMap, length: LengthMap) -> "_PointOp":
+        return type(self)(*point(self.x, self.y))
+
+
+class MoveTo(_PointOp):
+    """Start a new subpath at (x, y)."""
+
+
+class LineTo(_PointOp):
+    """Straight segment from the current point to (x, y)."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +104,23 @@ class CurveTo:
     x: Coord
     y: Coord
 
+    @property
+    def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
+        return ((self.c1x, self.c1y), (self.c2x, self.c2y), (self.x, self.y))
+
+    def map(self, point: PointMap, length: LengthMap) -> "CurveTo":
+        return CurveTo(*point(self.c1x, self.c1y), *point(self.c2x, self.c2y),
+                       *point(self.x, self.y))
+
 
 @dataclass(frozen=True)
 class ClosePath:
-    pass
+    @property
+    def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
+        return ()
+
+    def map(self, point: PointMap, length: LengthMap) -> "ClosePath":
+        return self
 
 
 @dataclass(frozen=True)
@@ -95,10 +131,8 @@ class Circle:
     cy: Coord
     radius: Coord
 
-
-@dataclass(frozen=True)
-class SetDashSolid:
-    pass
+    def map(self, point: PointMap, length: LengthMap) -> "Circle":
+        return Circle(*point(self.cx, self.cy), length(self.radius))
 
 
 @dataclass(frozen=True)
@@ -131,7 +165,9 @@ class Translate:
 
 
 PathOp = Union[MoveTo, LineTo, CurveTo, ClosePath, Circle]
-StateOp = Union[SetDashSolid, SetCap, SetJoin, SetLineWidthFactor, Translate]
+_PATH_OPS = (MoveTo, LineTo, CurveTo, ClosePath, Circle)
+_OP_NAMES = {LineTo: "line", CurveTo: "curve", ClosePath: "close"}
+StateOp = Union[SetCap, SetJoin, SetLineWidthFactor, Translate]
 Op = Union[PathOp, StateOp, Action]
 
 
@@ -190,12 +226,29 @@ class Drawable:
 Scene = tuple[Drawable, ...]
 
 
+def _map(ops: Iterable[Op], point: PointMap, length: LengthMap,
+         vector: PointMap) -> Iterator[Op]:
+    """Each op with its coordinates mapped, produced only when asked for.
+
+    Path-op points go through ``point`` and circle radii through ``length``.
+    A translation is a displacement, so it goes through ``vector``.  State ops
+    and actions pass through unchanged.
+    """
+    for op in ops:
+        if isinstance(op, _PATH_OPS):
+            yield op.map(point, length)
+        elif isinstance(op, Translate):
+            yield Translate(*vector(op.dx, op.dy))
+        else:
+            yield op
+
+
 def evaluate(program: RenderProgram, host_width: float) -> Scene:
     """Run ``program`` with the register initialized to ``host_width``.
 
-    Initial state: register = host_width, butt cap, miter join, solid dash.
-    Each action snapshots the state, emits the accumulated path, and clears the
-    path; state persists across actions.
+    Initial state: register = host_width, butt cap, miter join.  Each action
+    snapshots the state, emits the accumulated path, and clears the path;
+    state persists across actions.
     """
     if not host_width > 0:
         raise ValueError(f"stroke width must be positive, got {host_width}")
@@ -209,40 +262,31 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
     subpath_open = False
     drawables: list[Drawable] = []
 
-    def resolve(v: Coord) -> float:
+    def length(v: Coord) -> float:
         return v.resolve(register) if isinstance(v, Scalar) else float(v)
 
-    for index, op in enumerate(program.ops):
-        if isinstance(op, (MoveTo, LineTo, CurveTo, ClosePath, Circle)):
+    def vector(x: Coord, y: Coord) -> tuple[float, float]:
+        return length(x), length(y)
+
+    def point(x: Coord, y: Coord) -> tuple[float, float]:
+        return length(x) + offx, length(y) + offy
+
+    # _map resolves each op only when the loop reaches it, so the maps read
+    # the register and origin as the ops before it left them.
+    for index, op in enumerate(_map(program.ops, point, length, vector)):
+        if isinstance(op, _PATH_OPS):
             if pending_since is None:
                 pending_since = index
-        if isinstance(op, MoveTo):
-            outline.append(MoveTo(resolve(op.x) + offx, resolve(op.y) + offy))
-            subpath_open = True
-        elif isinstance(op, LineTo):
-            if not subpath_open:
-                raise ProgramError(index, "line op without a current subpath")
-            outline.append(LineTo(resolve(op.x) + offx, resolve(op.y) + offy))
-        elif isinstance(op, CurveTo):
-            if not subpath_open:
-                raise ProgramError(index, "curve op without a current subpath")
-            outline.append(CurveTo(
-                resolve(op.c1x) + offx, resolve(op.c1y) + offy,
-                resolve(op.c2x) + offx, resolve(op.c2y) + offy,
-                resolve(op.x) + offx, resolve(op.y) + offy,
-            ))
-        elif isinstance(op, ClosePath):
-            if not subpath_open:
-                raise ProgramError(index, "close op without a current subpath")
-            outline.append(ClosePath())
-            subpath_open = False
-        elif isinstance(op, Circle):
-            radius = resolve(op.radius)
-            if not radius > 0:
-                raise ProgramError(index, f"circle radius must be positive, got {radius}")
-            outline.append(Circle(resolve(op.cx) + offx, resolve(op.cy) + offy, radius))
-        elif isinstance(op, SetDashSolid):
-            pass
+            if isinstance(op, MoveTo):
+                subpath_open = True
+            elif isinstance(op, Circle):
+                if not op.radius > 0:
+                    raise ProgramError(index, f"circle radius must be positive, got {op.radius}")
+            elif not subpath_open:
+                raise ProgramError(index, f"{_OP_NAMES[type(op)]} op without a current subpath")
+            elif isinstance(op, ClosePath):
+                subpath_open = False
+            outline.append(op)
         elif isinstance(op, SetCap):
             cap = op.cap
         elif isinstance(op, SetJoin):
@@ -250,8 +294,8 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
         elif isinstance(op, SetLineWidthFactor):
             register *= op.factor
         elif isinstance(op, Translate):
-            offx += resolve(op.dx)
-            offy += resolve(op.dy)
+            offx += op.dx
+            offy += op.dy
         elif isinstance(op, Action):
             if not outline:
                 raise ProgramError(index, "action with no path to draw")
@@ -269,53 +313,29 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
     return tuple(drawables)
 
 
-def _mirror(program: RenderProgram, flip_x: bool) -> RenderProgram:
-    ops: list[Op] = []
-    for op in program.ops:
-        if isinstance(op, MoveTo):
-            ops.append(MoveTo(-op.x, op.y) if flip_x else MoveTo(op.x, -op.y))
-        elif isinstance(op, LineTo):
-            ops.append(LineTo(-op.x, op.y) if flip_x else LineTo(op.x, -op.y))
-        elif isinstance(op, CurveTo):
-            if flip_x:
-                ops.append(CurveTo(-op.c1x, op.c1y, -op.c2x, op.c2y, -op.x, op.y))
-            else:
-                ops.append(CurveTo(op.c1x, -op.c1y, op.c2x, -op.c2y, op.x, -op.y))
-        elif isinstance(op, Circle):
-            if flip_x:
-                ops.append(Circle(-op.cx, op.cy, op.radius))
-            else:
-                ops.append(Circle(op.cx, -op.cy, op.radius))
-        elif isinstance(op, Translate):
-            # The displacement is geometry, so it flips with the axis.
-            ops.append(Translate(-op.dx, op.dy) if flip_x else Translate(op.dx, -op.dy))
-        else:
-            ops.append(op)
-    return RenderProgram(tuple(ops))
+def _keep(v: Coord) -> Coord:
+    return v
+
+
+def _flip_x(x: Coord, y: Coord) -> tuple[Coord, Coord]:
+    return -x, y
+
+
+def _flip_y(x: Coord, y: Coord) -> tuple[Coord, Coord]:
+    return x, -y
 
 
 def mirror_x(program: RenderProgram) -> RenderProgram:
-    """Reflect across the y axis (negate every x coordinate)."""
-    return _mirror(program, flip_x=True)
+    """Reflect across the y axis (negate every x coordinate).
+
+    Translation displacements flip too, so later geometry stays mirrored.
+    """
+    return RenderProgram(tuple(_map(program.ops, _flip_x, _keep, _flip_x)))
 
 
 def mirror_y(program: RenderProgram) -> RenderProgram:
     """Reflect across the x axis (negate every y coordinate)."""
-    return _mirror(program, flip_x=False)
-
-
-def _map_point(t: AffineTransform, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-    return (
-        Scalar(t.a * x.fixed + t.c * y.fixed + t.tx, t.a * x.widths + t.c * y.widths),
-        Scalar(t.b * x.fixed + t.d * y.fixed + t.ty, t.b * x.widths + t.d * y.widths),
-    )
-
-
-def _map_vector(t: AffineTransform, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-    return (
-        Scalar(t.a * x.fixed + t.c * y.fixed, t.a * x.widths + t.c * y.widths),
-        Scalar(t.b * x.fixed + t.d * y.fixed, t.b * x.widths + t.d * y.widths),
-    )
+    return RenderProgram(tuple(_map(program.ops, _flip_y, _keep, _flip_y)))
 
 
 def transform_program(program: RenderProgram, t: AffineTransform) -> RenderProgram:
@@ -324,22 +344,20 @@ def transform_program(program: RenderProgram, t: AffineTransform) -> RenderProgr
     Translation displacements map through the linear part only.  Intended for
     rotate+translate placements, where circles stay circles.
     """
-    ops: list[Op] = []
-    for op in program.ops:
-        if isinstance(op, MoveTo):
-            ops.append(MoveTo(*_map_point(t, _as_scalar(op.x), _as_scalar(op.y))))
-        elif isinstance(op, LineTo):
-            ops.append(LineTo(*_map_point(t, _as_scalar(op.x), _as_scalar(op.y))))
-        elif isinstance(op, CurveTo):
-            c1 = _map_point(t, _as_scalar(op.c1x), _as_scalar(op.c1y))
-            c2 = _map_point(t, _as_scalar(op.c2x), _as_scalar(op.c2y))
-            end = _map_point(t, _as_scalar(op.x), _as_scalar(op.y))
-            ops.append(CurveTo(c1[0], c1[1], c2[0], c2[1], end[0], end[1]))
-        elif isinstance(op, Circle):
-            cx, cy = _map_point(t, _as_scalar(op.cx), _as_scalar(op.cy))
-            ops.append(Circle(cx, cy, _as_scalar(op.radius)))
-        elif isinstance(op, Translate):
-            ops.append(Translate(*_map_vector(t, _as_scalar(op.dx), _as_scalar(op.dy))))
-        else:
-            ops.append(op)
-    return RenderProgram(tuple(ops))
+    a, b, c, d, tx, ty = t.a, t.b, t.c, t.d, t.tx, t.ty
+
+    def vector(x: Coord, y: Coord) -> tuple[Scalar, Scalar]:
+        x, y = _as_scalar(x), _as_scalar(y)
+        return (
+            Scalar(a * x.fixed + c * y.fixed, a * x.widths + c * y.widths),
+            Scalar(b * x.fixed + d * y.fixed, b * x.widths + d * y.widths),
+        )
+
+    def point(x: Coord, y: Coord) -> tuple[Scalar, Scalar]:
+        x, y = _as_scalar(x), _as_scalar(y)
+        return (
+            Scalar(a * x.fixed + c * y.fixed + tx, a * x.widths + c * y.widths),
+            Scalar(b * x.fixed + d * y.fixed + ty, b * x.widths + d * y.widths),
+        )
+
+    return RenderProgram(tuple(_map(program.ops, point, _as_scalar, vector)))

@@ -25,6 +25,9 @@ def format_number(value: float) -> str:
     return text
 
 
+_COMMANDS = {MoveTo: "M", LineTo: "L", CurveTo: "C", ClosePath: "Z"}
+
+
 def to_path_data(outline: Iterable[PathOp]) -> str:
     """SVG path data for a resolved outline.
 
@@ -33,23 +36,18 @@ def to_path_data(outline: Iterable[PathOp]) -> str:
     fmt = format_number
     parts: list[str] = []
     for op in outline:
-        if isinstance(op, MoveTo):
-            parts.append(f"M {fmt(op.x)} {fmt(op.y)}")
-        elif isinstance(op, LineTo):
-            parts.append(f"L {fmt(op.x)} {fmt(op.y)}")
-        elif isinstance(op, CurveTo):
-            parts.append(
-                f"C {fmt(op.c1x)} {fmt(op.c1y)} {fmt(op.c2x)} {fmt(op.c2y)} {fmt(op.x)} {fmt(op.y)}"
-            )
-        elif isinstance(op, ClosePath):
-            parts.append("Z")
-        elif isinstance(op, Circle):
+        if isinstance(op, Circle):
             r = fmt(op.radius)
             east = f"{fmt(op.cx + op.radius)} {fmt(op.cy)}"
             west = f"{fmt(op.cx - op.radius)} {fmt(op.cy)}"
             parts.append(f"M {east} A {r} {r} 0 0 1 {west} A {r} {r} 0 0 1 {east} Z")
         else:
-            raise TypeError(f"not a resolved path op: {op!r}")
+            command = _COMMANDS.get(type(op))
+            if command is None:
+                raise TypeError(f"not a resolved path op: {op!r}")
+            parts.append(command)
+            for x, y in op.pairs:
+                parts.append(f"{fmt(x)} {fmt(y)}")
     return " ".join(parts)
 
 
@@ -78,16 +76,12 @@ def scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
         pad = 0.0 if drawable.action is Action.FILL else 1.5 * drawable.width
         for op in drawable.outline:
             if isinstance(op, Circle):
-                points = [
+                points = (
                     (op.cx - op.radius, op.cy - op.radius),
                     (op.cx + op.radius, op.cy + op.radius),
-                ]
-            elif isinstance(op, CurveTo):
-                points = [(op.c1x, op.c1y), (op.c2x, op.c2y), (op.x, op.y)]
-            elif isinstance(op, ClosePath):
-                points = []
+                )
             else:
-                points = [(op.x, op.y)]
+                points = op.pairs
             for x, y in points:
                 xs.append(x - pad)
                 xs.append(x + pad)

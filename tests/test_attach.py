@@ -3,6 +3,8 @@ import math
 import pytest
 
 from arrowtips.attach import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     CubicSegment,
     DegeneratePathError,
     HostPath,
@@ -115,6 +117,21 @@ def test_coincident_end_segment_defers_to_neighbor():
     r = math.sqrt(0.5)
     assert got.x == pytest.approx(r, abs=1e-12)
     assert got.y == pytest.approx(r, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(32))
+def test_quadrature_rule_integrates_polynomials_up_to_degree_31(k):
+    # The stored nodes and weights carry leggauss's own rounding: even summed
+    # exactly they miss 1/(k+1) by up to 1.7e-15 relative, so the bound is a
+    # few ulps rather than one.
+    got = math.fsum(w * x**k for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+    assert abs(got - 1.0 / (k + 1)) <= 4e-15 / (k + 1)
+
+
+def test_attach_rejects_a_path_whose_length_overflows():
+    host = HostPath((LineSegment(Point(-1e308, 0.0), Point(1e308, 0.0)),))
+    with pytest.raises(ValueError, match="path length overflows"):
+        attach(host, Side.END, lookup("latex'", Side.END), 0.4)
 
 
 def test_shorten_rejects_negative_amount():

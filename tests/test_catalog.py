@@ -7,7 +7,6 @@ from arrowtips.catalog import (
     Side,
     UnknownTipError,
     declared_reversals,
-    dump_lines,
     end_names,
     extents,
     lookup,
@@ -157,34 +156,6 @@ INDEPENDENT = [
 def test_independent_declarations_refuse_reversal(name):
     with pytest.raises(NoReversalError):
         reverse_tip(lookup(name, Side.END))
-
-
-def test_base_unit_metadata():
-    assert lookup("]", Side.END).definition.base_unit(0.4) == 1.5
-    assert lookup("round cap", Side.END).definition.base_unit is None
-    assert lookup("butt cap", Side.END).definition.base_unit is None
-
-
-def test_dump_has_header_and_one_row_per_entry():
-    lines = dump_lines()
-    assert len(lines) == 48
-    assert lines[0].startswith("#")
-    assert lines[0].split("\t")[2:] == ["l0", "l1", "r0", "r1"]
-
-
-def test_dump_coefficients_reproduce_extents():
-    lines = dump_lines()
-    by_end = {}
-    for line in lines[1:]:
-        end, start, l0, l1, r0, r1 = line.split("\t")
-        by_end[end] = (float(l0), float(l1), float(r0), float(r1))
-    assert set(by_end) == set(end_names())
-    for name, (l0, l1, r0, r1) in by_end.items():
-        tip = lookup(name, Side.END)
-        for w in WIDTHS:
-            e = extents(tip, w)
-            assert l0 + l1 * w == pytest.approx(e.left, abs=1e-9)
-            assert r0 + r1 * w == pytest.approx(e.right, abs=1e-9)
 
 
 @pytest.mark.parametrize(

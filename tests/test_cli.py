@@ -65,6 +65,23 @@ def test_render_rejects_bad_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["-latex'", "-hooks", "-latex' reversed"])
+def test_render_takes_an_end_only_spec_as_a_separate_argument(tmp_path, spec):
+    out = tmp_path / "arrow.svg"
+    assert run(["render", "--spec", spec, "--path", CUBIC, "--out", str(out)]) == 0
+    paths = ET.fromstring(out.read_text(encoding="utf-8")).findall(
+        ".//{http://www.w3.org/2000/svg}path")
+    assert len(paths) >= 2  # host plus the end tip
+
+
+def test_render_rejects_a_path_whose_length_overflows(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-latex'", "--path", "M -1e308,0 L 1e308,0", "--out", str(out)]
+    assert run(args) == 2
+    assert "path length overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_rejects_bad_path(tmp_path):
     out = tmp_path / "x.svg"
     assert run(["render", "--spec", "-", "--path", "L 1,2", "--out", str(out)]) == 2
@@ -74,6 +91,15 @@ def test_render_rejects_nonpositive_width(tmp_path):
     out = tmp_path / "x.svg"
     args = ["render", "--spec", "-", "--path", CUBIC, "--width", "0", "--out", str(out)]
     assert run(args) == 2
+
+
+def test_widths_that_print_as_zero_are_rejected(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-", "--path", CUBIC, "--width", "1e-320", "--out", str(out)]
+    assert run(args) == 2
+    assert run(["gallery", "--widths", "0.4,1e-320", "--out", str(out)]) == 2
+    assert "written as 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_reports_io_errors(tmp_path, capsys):

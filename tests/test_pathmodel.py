@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arrowtips.geometry import AffineTransform
 from arrowtips.pathmodel import (
     Action,
     ClosePath,
@@ -17,7 +18,6 @@ from arrowtips.pathmodel import (
     RenderProgram,
     Scalar,
     SetCap,
-    SetDashSolid,
     SetJoin,
     SetLineWidthFactor,
     Translate,
@@ -166,7 +166,7 @@ def test_line_before_move_reports_op_index():
 
 def test_curve_before_move_fails():
     program = RenderProgram(
-        (SetDashSolid(), curve_to(0, 0, 1, 1, 2, 0), Action.STROKE)
+        (SetCap(LineCap.ROUND), curve_to(0, 0, 1, 1, 2, 0), Action.STROKE)
     )
     with pytest.raises(ProgramError) as err:
         evaluate(program, 1.0)
@@ -208,7 +208,7 @@ def test_program_with_no_action_fails():
     assert err.value.index == 0
     # ... a program that never draws anything has no index to blame
     with pytest.raises(ProgramError) as err:
-        evaluate(RenderProgram((SetDashSolid(),)), 1.0)
+        evaluate(RenderProgram((SetCap(LineCap.ROUND),)), 1.0)
     assert err.value.index is None
 
 
@@ -349,9 +349,8 @@ def test_transform_program_translation_shifts_anchors_not_displacements():
     resolved = RenderProgram(
         (MoveTo(0.0, 0.0), Translate(1.0, 0.0), LineTo(0.0, 0.0), Action.STROKE)
     )
-    from arrowtips.geometry import translation
-
-    shifted = transform_program(resolved, translation(10.0, 0.0))
+    shift = AffineTransform(1.0, 0.0, 0.0, 1.0, 10.0, 0.0)
+    shifted = transform_program(resolved, shift)
     m, t, l, _ = shifted.ops
     assert m.x == Scalar(10.0)
     assert t.dx == Scalar(1.0)  # pure displacement, unaffected by the offset
