@@ -1,7 +1,6 @@
 """Bit-level pins on the output of the whole pipeline.
 
-Both digests were computed before the path ops shared one coordinate map, so a
-refactor of evaluation, mirroring or placement that changes any float, even
+A change to evaluation, mirroring or placement that moves any float, even
 below the four decimals the SVG prints, fails here.
 """
 
