@@ -26,10 +26,6 @@ def add(p: Point, q: Point) -> Point:
     return Point(p.x + q.x, p.y + q.y)
 
 
-def sub(p: Point, q: Point) -> Point:
-    return Point(p.x - q.x, p.y - q.y)
-
-
 def polar(angle: float, radius: float) -> Point:
     """Point at distance ``radius`` from the origin in direction ``angle`` (degrees)."""
     if radius < 0:

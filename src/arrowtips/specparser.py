@@ -30,20 +30,23 @@ class TipSequenceError(ValueError):
     """A side held several tip names in a row; chains are not supported."""
 
 
-def _names_longest_first(side: Side) -> list[str]:
-    names = catalog.start_names() if side is Side.START else catalog.end_names()
-    return sorted(names, key=len, reverse=True)
+# The catalog is complete once imported, so each side's names are sorted once.
+_LONGEST_FIRST = {
+    side: tuple(sorted(names, key=len, reverse=True))
+    for side, names in ((Side.START, catalog.start_names()), (Side.END, catalog.end_names()))
+}
 
 
 def _match_side(text: str, side: Side) -> Optional[str]:
     if not text:
         return None
-    for name in _names_longest_first(side):
+    names = _LONGEST_FIRST[side]
+    for name in names:
         if text.startswith(name):
             residue = text[len(name):]
             if not residue:
                 return name
-            if any(residue.startswith(other) for other in _names_longest_first(side)):
+            if any(residue.startswith(other) for other in names):
                 raise TipSequenceError(
                     f"{side.value} side {text!r} stacks several tips; one tip per side"
                 )

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from arrowtips.attach import (
     _GL_NODES,
@@ -18,7 +20,7 @@ from arrowtips.attach import (
     placement,
     shorten,
 )
-from arrowtips.catalog import Side, UnknownTipError, lookup
+from arrowtips.catalog import Side, UnknownTipError, extents, lookup
 from arrowtips.geometry import Point, apply
 from arrowtips.pathmodel import Action, LineCap, evaluate
 from arrowtips.specparser import ArrowSpec, parse
@@ -189,7 +191,7 @@ def test_shorten_cubic_removes_requested_arc_length():
     total = path_length(path)
     for amount in (1.0, 7.5, total / 2.0):
         got = shorten(path, Side.END, amount)
-        assert path_length(got) == pytest.approx(total - amount, abs=1e-6)
+        assert path_length(got) == pytest.approx(total - amount, abs=1e-9)
         # the kept piece still starts where the original did
         assert got.segments[0].start == Point(0.0, 0.0)
 
@@ -198,8 +200,120 @@ def test_shorten_cubic_from_start():
     path = HostPath((WIGGLE,))
     total = path_length(path)
     got = shorten(path, Side.START, 3.0)
-    assert path_length(got) == pytest.approx(total - 3.0, abs=1e-6)
+    assert path_length(got) == pytest.approx(total - 3.0, abs=1e-9)
     assert got.segments[-1].end == Point(50.0, 30.0)
+
+
+def cubic_host(*points):
+    return HostPath((CubicSegment(*(Point(x, y) for x, y in points)),))
+
+
+# ROADMAP's looping host: collinear, with exact cusps at t = (5 -+ sqrt 5) / 10.
+LOOP = cubic_host((0.0, 0.0), (200.0, 0.0), (-100.0, 0.0), (100.0, 0.0))
+LOOP_LENGTH = 100.0 + 40.0 * math.sqrt(5.0)
+NEAR_CUSP = cubic_host(
+    (36.95369137404887, -90.81391374736239),
+    (-90.6536030991149, 84.74897715721033),
+    (-60.468892664461606, 34.67718453518066),
+    (30.857890846874398, -71.92099197671084),
+)
+
+
+def test_looping_cubic_has_its_closed_form_length():
+    assert path_length(LOOP) == pytest.approx(LOOP_LENGTH, abs=1e-9)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+@pytest.mark.parametrize("amount", [1.0, 30.0, 100.0])
+def test_shortening_the_looping_cubic_removes_the_requested_arc_length(side, amount):
+    got = shorten(LOOP, side, amount)
+    assert path_length(got) == pytest.approx(LOOP_LENGTH - amount, abs=1e-9)
+
+
+def test_near_cusp_cubic_finishes_with_a_bounded_piece_table():
+    total = path_length(NEAR_CUSP)
+    assert len(NEAR_CUSP.segments[0]._arc.breaks) <= 300
+    got = shorten(NEAR_CUSP, Side.END, 1.0)
+    assert total - path_length(got) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_subnormal_cubic_is_not_subdivided():
+    # the rule's rounding at this scale exceeds 1e-12 of the length
+    host = cubic_host((0.0, 0.0), (1e-318, 3e-319), (3e-318, 1e-318), (4e-318, 5e-318))
+    assert 0.0 < path_length(host) < 1e-317
+    assert len(host.segments[0]._arc.breaks) == 3  # [0, 1] and its two halves
+
+
+def test_shortening_to_a_point_is_too_short():
+    host = cubic_host((65.0, 65.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(PathTooShortError, match="collapses to a point"):
+        shorten(host, Side.END, 0.9999999999999999 * path_length(host))
+
+
+coordinates = st.floats(min_value=-100.0, max_value=100.0)
+points = st.tuples(coordinates, coordinates)
+small_ints = st.integers(min_value=-20, max_value=20).map(float)
+
+
+@st.composite
+def collinear_points(draw):
+    # integer coordinates keep the four points exactly on one line
+    ox, oy, dx, dy = (draw(small_ints) for _ in range(4))
+    return [(ox + u * dx, oy + u * dy) for u in draw(st.lists(small_ints, min_size=4, max_size=4))]
+
+
+@st.composite
+def flat_start_points(draw):
+    start, control2, end = draw(points), draw(points), draw(points)
+    return [start, start, control2, end]
+
+
+@st.composite
+def looping_points(draw):
+    # control points pulled past the far end and back behind the start
+    (x0, y0), (cx, cy) = draw(points), draw(points)
+    out, back = draw(st.floats(1.2, 2.5)), draw(st.floats(-1.5, -0.2))
+    lift = draw(st.floats(-1.0, 1.0))
+    nx, ny = -cy * lift, cx * lift
+    return [
+        (x0, y0),
+        (x0 + out * cx + nx, y0 + out * cy + ny),
+        (x0 + back * cx + nx, y0 + back * cy + ny),
+        (x0 + cx, y0 + cy),
+    ]
+
+
+cubic_hosts = st.one_of(
+    st.lists(points, min_size=4, max_size=4),
+    collinear_points(),
+    flat_start_points(),
+    looping_points(),
+).filter(lambda pts: len(set(pts)) > 1).map(lambda pts: cubic_host(*pts))
+
+
+@given(cubic_hosts, st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.sampled_from([Side.START, Side.END]))
+def test_shortening_a_cubic_removes_exactly_the_amount(host, share, side):
+    total = path_length(host)
+    amount = share * total
+    assume(amount < total)
+    try:
+        kept = shorten(host, side, amount)
+    except PathTooShortError:
+        # only a rest shorter than the coordinates can resolve may fail
+        assert total - amount <= 1e-9
+        return
+    assert abs(total - path_length(kept) - amount) <= 1e-9
+
+
+@given(cubic_hosts, st.floats(min_value=0.2, max_value=2.0), st.sampled_from([Side.START, Side.END]))
+def test_placed_tip_front_lands_on_the_original_endpoint(host, w, side):
+    tip = lookup("latex'", side)
+    right = extents(tip, w).right
+    assume(right < path_length(host))
+    front = apply(placement(host, side, right).transform, Point(right, 0.0))
+    end = host.segments[0].start if side is Side.START else host.segments[-1].end
+    assert math.hypot(front.x - end.x, front.y - end.y) <= 1e-9
 
 
 def test_placement_on_straight_host():

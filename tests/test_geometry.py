@@ -12,7 +12,6 @@ from arrowtips.geometry import (
     compose,
     polar,
     rotation_to,
-    sub,
 )
 
 IDENTITY = AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -39,9 +38,8 @@ def test_point_rejects_non_finite(x, y):
         Point(x, y)
 
 
-def test_add_and_sub():
+def test_add():
     assert add(Point(1.0, 2.0), Point(3.0, -5.0)) == Point(4.0, -3.0)
-    assert sub(Point(1.0, 2.0), Point(3.0, -5.0)) == Point(-2.0, 7.0)
 
 
 def test_polar_on_axes():
