@@ -410,8 +410,8 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     The end tip is attached first, then the start tip against the already
     shortened path.  Scene order: host, start tip drawables, end tip drawables.
     """
-    if not w > 0:
-        raise ValueError(f"stroke width must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"stroke width must be positive and finite, got {w}")
     shortened = path
     end_program: Optional[RenderProgram] = None
     start_program: Optional[RenderProgram] = None

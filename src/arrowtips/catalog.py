@@ -16,7 +16,7 @@ linked; ``reverse_tip`` raises for them.
 
 from __future__ import annotations
 
-import difflib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -102,8 +102,8 @@ class NoReversalError(LookupError):
 
 
 def _check_width(w: float) -> None:
-    if not w > 0:
-        raise ValueError(f"stroke width must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"stroke width must be positive and finite, got {w}")
 
 
 def _unit(pt: float, per_width: float) -> Callable[[float], float]:
@@ -726,6 +726,8 @@ def lookup(name: str, side: Side) -> TipId:
     table = _BY_START if side is Side.START else _BY_END
     definition = table.get(name)
     if definition is None:
+        import difflib  # only a misspelled name pays for it at start-up
+
         candidates = difflib.get_close_matches(name, table.keys(), n=3, cutoff=0.6)
         raise UnknownTipError(name, side, candidates)
     return TipId(definition, side)

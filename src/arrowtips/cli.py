@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -127,6 +128,8 @@ def _cmd_extents(args: argparse.Namespace) -> int:
     side = Side.START if args.side == "start" else Side.END
     tip = catalog.lookup(args.tip, side)
     result = catalog.extents(tip, args.width)
+    if not (math.isfinite(result.left) and math.isfinite(result.right)):
+        raise ValueError(f"extents of tip {args.tip!r} overflow at stroke width {args.width}")
     print(f"left={_full_precision(result.left)} right={_full_precision(result.right)}")
     return 0
 

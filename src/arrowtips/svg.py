@@ -12,7 +12,6 @@ outside the flipped group.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .pathmodel import Action, Circle, ClosePath, CurveTo, LineTo, MoveTo, PathOp, Scene
 
@@ -23,6 +22,16 @@ def format_number(value: float) -> str:
     if text == "-0":
         return "0"
     return text
+
+
+def _escape(text: str) -> str:
+    """Character data for element content: ``&``, ``<`` and ``>`` escaped.
+
+    The same as ``xml.sax.saxutils.escape`` with no entity map, whose import
+    chain (``urllib.request``, ``http.client``, ``ssl``...) would dominate the
+    start-up of a CLI call.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _COMMANDS = {MoveTo: "M", LineTo: "L", CurveTo: "C", ClosePath: "Z"}
@@ -125,7 +134,7 @@ def render_document(
         lines.append(f'<g id="cell-r{row}-c{col}" transform="translate({cell_x},{cell_y})">')
         lines.append(
             f'<text x="4" y="8" font-family="monospace"'
-            f' font-size="{fmt(font_size)}">{escape(label)}</text>'
+            f' font-size="{fmt(font_size)}">{_escape(label)}</text>'
         )
         lines.append(f'<g transform="translate({fmt(origin_x)},{fmt(origin_y)}) scale(1,-1)">')
         for drawable in scene:

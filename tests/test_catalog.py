@@ -59,6 +59,11 @@ def test_width_must_be_positive():
         extents(tip, 0.0)
     with pytest.raises(ValueError):
         program(tip, -0.4)
+    for w in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            extents(tip, w)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            program(tip, w)
 
 
 # values frozen from the closed-form extent expressions; each is

@@ -48,6 +48,21 @@ def test_extents_suggests_near_misses(capsys):
     assert "stealth'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["inf", "nan"])
+def test_extents_rejects_a_non_finite_width(capsys, width):
+    assert run(["extents", "--tip", "latex'", "--width", width]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stroke width must be positive")
+    assert err.count("\n") == 1
+
+
+def test_extents_rejects_a_result_that_overflows(capsys):
+    assert run(["extents", "--tip", "latex'", "--width", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extents of tip \"latex'\" overflow at stroke width 1e+308\n"
+
+
 def test_render_cubic_host(tmp_path):
     out = tmp_path / "arrow.svg"
     code = run(["render", "--spec", "[-latex'", "--path", CUBIC, "--out", str(out)])
@@ -130,6 +145,18 @@ def test_gallery_rejects_bad_widths(tmp_path):
     out = tmp_path / "x.svg"
     assert run(["gallery", "--widths", "0,1", "--out", str(out)]) == 2
     assert run(["gallery", "--widths", "abc", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["render", "--spec", "-latex'", "--path", CUBIC, "--width", "inf"],
+    ["render", "--spec", "-", "--path", CUBIC, "--width", "inf"],
+    ["gallery", "--widths", "0.4,inf"],
+])
+def test_infinite_widths_are_rejected_by_the_width_check(tmp_path, capsys, args):
+    out = tmp_path / "x.svg"
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stroke width must be positive and finite, got inf\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,6 +1,9 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrowtips.pathmodel import (
     Action,
@@ -136,6 +139,20 @@ def test_labels_are_escaped():
     root = ET.fromstring(text)
     label = root[0][0]
     assert label.text == '<&> "q"'
+
+
+# Characters XML 1.0 allows in content, less "\r", which a parser reads as "\n".
+xml_text = st.text(st.one_of(
+    st.sampled_from("\t\n"),
+    st.characters(min_codepoint=0x20, exclude_categories=("Cs",), exclude_characters="\ufffe\uffff"),
+))
+
+
+@given(xml_text)
+def test_label_text_is_saxutils_escape_and_parses_back(label):
+    text = render_document([(label, (stroke_drawable(),))])
+    assert f'font-size="6">{escape(label)}</text>' in text
+    assert (ET.fromstring(text)[0][0].text or "") == label
 
 
 def test_fill_element_has_no_stroke_attributes():
