@@ -373,9 +373,13 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
     return Placement(Point(tx, ty), direction, transform)
 
 
-def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
-    """Shorten ``path`` for ``tip`` and return it with the placed program."""
-    right = catalog.extents(tip, w).right
+def _attach(path: HostPath, side: Side, tip: TipId,
+            w: float) -> tuple[HostPath, RenderProgram, AffineTransform]:
+    """The shortened path, the tip's unplaced program and its placement."""
+    extents = catalog.extents(tip, w)
+    if not (math.isfinite(extents.left) and math.isfinite(extents.right)):
+        raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
+    right = extents.right
     length = path_length(path)
     if not math.isfinite(length):
         raise ValueError("path length overflows")
@@ -383,11 +387,15 @@ def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, 
         raise PathTooShortError(
             f"tip {tip.name!r} needs {right} of arc length, path has {length}"
         )
-    placed = transform_program(
-        catalog.program(tip, w),
-        placement(path, side, right).transform,
-    )
-    return shorten(path, side, right), placed
+    program = catalog.program(tip, w)
+    transform = placement(path, side, right).transform
+    return shorten(path, side, right), program, transform
+
+
+def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
+    """Shorten ``path`` for ``tip`` and return it with the placed program."""
+    shortened, program, transform = _attach(path, side, tip, w)
+    return shortened, transform_program(program, transform)
 
 
 def path_outline(path: HostPath) -> tuple[PathOp, ...]:
@@ -415,12 +423,13 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     shortened = path
     end_program: Optional[RenderProgram] = None
     start_program: Optional[RenderProgram] = None
+    end_placement = start_placement = None
     if spec.end is not None:
         tip = catalog.lookup(spec.end, Side.END)
-        shortened, end_program = attach(shortened, Side.END, tip, w)
+        shortened, end_program, end_placement = _attach(shortened, Side.END, tip, w)
     if spec.start is not None:
         tip = catalog.lookup(spec.start, Side.START)
-        shortened, start_program = attach(shortened, Side.START, tip, w)
+        shortened, start_program, start_placement = _attach(shortened, Side.START, tip, w)
     host = Drawable(
         outline=path_outline(shortened),
         width=w,
@@ -430,7 +439,7 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     )
     scene: list[Drawable] = [host]
     if start_program is not None:
-        scene.extend(evaluate(start_program, w))
+        scene.extend(evaluate(start_program, w, start_placement))
     if end_program is not None:
-        scene.extend(evaluate(end_program, w))
+        scene.extend(evaluate(end_program, w, end_placement))
     return tuple(scene)

@@ -127,16 +127,15 @@ def render_document(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}">',
     ]
+    text_open = f'<text x="4" y="8" font-family="monospace" font-size="{fmt(font_size)}">'
+    scene_open = f'<g transform="translate({fmt(origin_x)},{fmt(origin_y)}) scale(1,-1)">'
     for index, (label, scene) in enumerate(scenes):
         row, col = divmod(index, columns)
         cell_x = fmt(col * cell_width)
         cell_y = fmt(row * cell_height)
         lines.append(f'<g id="cell-r{row}-c{col}" transform="translate({cell_x},{cell_y})">')
-        lines.append(
-            f'<text x="4" y="8" font-family="monospace"'
-            f' font-size="{fmt(font_size)}">{_escape(label)}</text>'
-        )
-        lines.append(f'<g transform="translate({fmt(origin_x)},{fmt(origin_y)}) scale(1,-1)">')
+        lines.append(f"{text_open}{_escape(label)}</text>")
+        lines.append(scene_open)
         for drawable in scene:
             lines.append(_element(drawable, paint))
         lines.append("</g>")

@@ -20,7 +20,7 @@ from arrowtips.attach import (
     placement,
     shorten,
 )
-from arrowtips.catalog import Side, UnknownTipError, extents, lookup
+from arrowtips.catalog import Side, UnknownTipError, extents, lookup, registry
 from arrowtips.geometry import Point, apply
 from arrowtips.pathmodel import Action, LineCap, evaluate
 from arrowtips.specparser import ArrowSpec, parse
@@ -314,6 +314,38 @@ def test_placed_tip_front_lands_on_the_original_endpoint(host, w, side):
     front = apply(placement(host, side, right).transform, Point(right, 0.0))
     end = host.segments[0].start if side is Side.START else host.segments[-1].end
     assert math.hypot(front.x - end.x, front.y - end.y) <= 1e-9
+
+
+line_hosts = st.tuples(points, points).filter(lambda ends: ends[0] != ends[1]).map(
+    lambda ends: line_host(*ends[0], *ends[1]))
+maybe_tips = st.one_of(st.none(), st.sampled_from(registry()))
+
+
+def _float_hex(scene):
+    for drawable in scene:
+        yield drawable.action, drawable.cap, drawable.join, float.hex(drawable.width)
+        for op in drawable.outline:
+            yield type(op).__name__, *(float.hex(v) for v in vars(op).values())
+
+
+@given(st.one_of(line_hosts, cubic_hosts), maybe_tips, maybe_tips,
+       st.floats(min_value=0.1, max_value=3.0))
+def test_decorate_places_each_tip_exactly_as_attach_does(host, start, end, w):
+    # decorate places the shared program while evaluating it; attach builds
+    # the placed copy.  Every coordinate must agree to the bit.
+    assume(start is not None or end is not None)
+    spec = ArrowSpec(start=start and start.start_name, end=end and end.end_name)
+    placed = {}
+    rest = host
+    try:
+        for side, name in ((Side.END, spec.end), (Side.START, spec.start)):
+            if name is not None:
+                rest, placed[side] = attach(rest, side, lookup(name, side), w)
+    except PathTooShortError:
+        assume(False)
+    want = [d for side in (Side.START, Side.END) if side in placed
+            for d in evaluate(placed[side], w)]
+    assert list(_float_hex(decorate(host, spec, w)[1:])) == list(_float_hex(want))
 
 
 def test_placement_on_straight_host():

@@ -63,6 +63,22 @@ def test_extents_rejects_a_result_that_overflows(capsys):
     assert captured.err == "error: extents of tip \"latex'\" overflow at stroke width 1e+308\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["render", "--spec", "-latex'", "--path", "M 0,0 L 100,0", "--width", "1e308"],
+     "extents of tip \"latex'\" overflow at stroke width 1e+308"),
+    # the first gallery cell is "]"; its extents overflow above w = 1.44e308
+    (["gallery", "--widths", "1.5e308"], "extents of tip ']' overflow at stroke width 1.5e+308"),
+    # long enough for the tip's right extent, so only the left one overflows
+    (["render", "--spec", "-]", "--path", "M 0,0 L 1.7e308,0", "--width", "1.5e308"],
+     "extents of tip ']' overflow at stroke width 1.5e+308"),
+], ids=["render", "gallery", "render-long-host"])
+def test_render_and_gallery_report_overflowing_extents(tmp_path, capsys, args, message):
+    out = tmp_path / "x.svg"
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_render_cubic_host(tmp_path):
     out = tmp_path / "arrow.svg"
     code = run(["render", "--spec", "[-latex'", "--path", CUBIC, "--out", str(out)])
