@@ -1,0 +1,444 @@
+#!/usr/bin/env python3
+"""Generate ``src/arrowtips/_tips.py``: one placed evaluator per catalog tip.
+
+Every tip program is a pure function of the stroke width w.  This script
+calls each registry entry's ``program_fn`` once with a symbolic width, places
+the result with a symbolic rigid transform and runs the interpreter on it:
+
+    evaluate(transform_program(program_fn(W), (A, B, C, D, TX, TY)), W)
+
+The symbolic values record ``+``, ``-``, ``*`` and negation as expression
+trees, in the order Python performs them, so each tree repeats the exact
+arithmetic that the interpreter does at a float width.  Each tip's drawables
+are then written out as one straight-line function of
+``(w, a, b, c, d, tx, ty)``.  Shared subtrees are computed once, into a
+local; that is exact, because the same float operations on the same operands
+give the same bits.  Trees are otherwise copied as they are, apart from the
+one fold in ``_fold``, whose proof is written beside it.
+
+Running the interpreter on the traced program also checks its structure
+once per tip: a program that ``evaluate`` would reject raises the same
+``ProgramError``, with the same op index, here.  Circle radii are still
+checked at run time.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 scripts/compile_tips.py          # rewrite the module
+    PYTHONPATH=src python3 scripts/compile_tips.py --check  # exit 1 if it is stale
+
+Run it after every edit to ``catalog.py``; a tier-1 test fails while the
+committed module differs from what this script writes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import math
+import sys
+import types
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
+
+# The package imports the generated module.  A broken or missing copy must
+# not stop its own regeneration, and the tracer never calls it.
+try:
+    import arrowtips._tips  # noqa: F401
+except (ImportError, SyntaxError):
+    sys.modules["arrowtips._tips"] = types.SimpleNamespace(PLACED={})
+
+from arrowtips import geometry, pathmodel  # noqa: E402
+from arrowtips.catalog import TipDefinition, registry  # noqa: E402
+from arrowtips.geometry import AffineTransform  # noqa: E402
+from arrowtips.pathmodel import Circle, ClosePath, Scalar, evaluate, transform_program  # noqa: E402
+
+MODULE = Path(__file__).resolve().parents[1] / "src" / "arrowtips" / "_tips.py"
+
+# The generated functions' parameters, in order.
+PARAMETERS = ("w", "a", "b", "c", "d", "tx", "ty")
+
+
+class Sym:
+    """A float-valued expression tree over the parameters.
+
+    ``op`` is "var" (``args`` holds the name), "const" (the float), or one of
+    "+", "-", "*", "neg" over Sym operands.
+    """
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, *args) -> None:
+        self.op = op
+        self.args = args
+
+    def __add__(self, other):
+        return Sym("+", self, _lift(other))
+
+    def __radd__(self, other):
+        return Sym("+", _lift(other), self)
+
+    def __sub__(self, other):
+        return Sym("-", self, _lift(other))
+
+    def __rsub__(self, other):
+        return Sym("-", _lift(other), self)
+
+    def __mul__(self, other):
+        return Sym("*", self, _lift(other))
+
+    def __rmul__(self, other):
+        return Sym("*", _lift(other), self)
+
+    def __neg__(self):
+        return Sym("neg", self)
+
+    # A comparison with 0 is answered only when it holds, or fails, for every
+    # width w > 0; anything else cannot be compiled into straight-line code.
+    def __gt__(self, other):
+        return _sign(self, other) > 0
+
+    def __lt__(self, other):
+        return _sign(self, other) < 0
+
+    def __repr__(self) -> str:
+        return _code(self, {})
+
+
+def _lift(value) -> Sym:
+    if isinstance(value, Sym):
+        return value
+    if isinstance(value, (int, float)):
+        return Sym("const", float(value))
+    raise TypeError(f"cannot trace arithmetic with {value!r}")
+
+
+def var(name: str) -> Sym:
+    return Sym("var", name)
+
+
+def affine(node) -> tuple[Fraction, Fraction]:
+    """Exact (c0, c1) with node = c0 + c1 * w, up to the rounding of each op.
+
+    Raises ValueError for a tree that reads a placement parameter or is not
+    affine in w.
+    """
+    if not isinstance(node, Sym):
+        return Fraction(node), Fraction(0)
+    if node.op == "const":
+        return Fraction(node.args[0]), Fraction(0)
+    if node.op == "var":
+        if node.args[0] != "w":
+            raise ValueError(f"{node.args[0]} is not the width")
+        return Fraction(0), Fraction(1)
+    if node.op == "neg":
+        c0, c1 = affine(node.args[0])
+        return -c0, -c1
+    (p0, p1), (q0, q1) = affine(node.args[0]), affine(node.args[1])
+    if node.op == "+":
+        return p0 + q0, p1 + q1
+    if node.op == "-":
+        return p0 - q0, p1 - q1
+    if p1 and q1:
+        raise ValueError(f"{node!r} is not affine in w")
+    return p0 * q0, p0 * q1 + p1 * q0
+
+
+def _sign(node: Sym, other) -> int:
+    """The sign of ``node`` for every w > 0, compared against 0 only."""
+    if other != 0:
+        raise TypeError(f"a traced value compares only with 0, not {other!r}")
+    c0, c1 = affine(node)
+    if c0 >= 0 and c1 >= 0:
+        return 1 if c0 or c1 else 0
+    if c0 <= 0 and c1 <= 0:
+        return -1
+    raise ValueError(f"the sign of {node!r} depends on the width")
+
+
+@contextmanager
+def symbolic():
+    """Let points and program builders take Sym coordinates while tracing.
+
+    Real coordinates keep ``Point``'s finiteness check and ``_as_scalar``'s
+    float conversion; only Sym values pass through unchecked.
+    """
+    point_check, as_scalar = geometry.Point.__post_init__, pathmodel._as_scalar
+
+    def checked_unless_traced(point) -> None:
+        if not (isinstance(point.x, Sym) or isinstance(point.y, Sym)):
+            point_check(point)
+
+    def scalar_or_traced(value):
+        if isinstance(value, Sym):
+            return Scalar(value)
+        return as_scalar(value)
+
+    geometry.Point.__post_init__ = checked_unless_traced
+    pathmodel._as_scalar = scalar_or_traced
+    try:
+        yield
+    finally:
+        geometry.Point.__post_init__ = point_check
+        pathmodel._as_scalar = as_scalar
+
+
+def trace(definition: TipDefinition):
+    """(traced program, traced placed scene) of one catalog entry."""
+    w, *placement = (var(name) for name in PARAMETERS)
+    with symbolic():
+        program = definition.program_fn(w)
+        scene = evaluate(transform_program(program, AffineTransform(*placement)), w)
+    return program, scene
+
+
+def affine_extents(definition: TipDefinition) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((l0, l1), (r0, r1)) of the entry's traced extents, the oracle's row form."""
+    with symbolic():
+        extents = definition.extents_fn(var("w"))
+    return tuple(tuple(float(c) for c in affine(side))
+                 for side in (extents.left, extents.right))
+
+
+# --- simplification ---------------------------------------------------------
+
+def _finite(node: Sym) -> bool:
+    """True where the value is finite for every call.
+
+    ``decorate`` passes a finite w, and a, b, c, d are the components of a
+    unit direction.  tx and ty may overflow, so they do not count.  A product
+    with a constant of magnitude at most 1, such as a register rescale by 0.8,
+    stays finite.
+    """
+    if node.op == "var":
+        return node.args[0] in ("w", "a", "b", "c", "d")
+    if node.op == "const":
+        return math.isfinite(node.args[0])
+    if node.op == "*":
+        x, y = node.args
+        return any(_finite(p) and k.op == "const" and abs(k.args[0]) <= 1.0
+                   for p, k in ((x, y), (y, x)))
+    return False
+
+
+def _zero(node: Sym) -> bool:
+    """True where the value is +0.0 or -0.0 for every call."""
+    if node.op == "const":
+        return node.args[0] == 0.0
+    if node.op == "*":
+        x, y = node.args
+        return (_zero(x) and _finite(y)) or (_finite(x) and _zero(y))
+    if node.op in ("+", "-"):
+        return _zero(node.args[0]) and _zero(node.args[1])
+    if node.op == "neg":
+        return _zero(node.args[0])
+    return False
+
+
+def _never_minus_zero(node: Sym) -> bool:
+    """True where the value is never -0.0.
+
+    A sum is -0.0 only when both terms are -0.0: x + (-x) rounds to +0.0, and
+    a sum that would underflow is exact, so it cannot round to zero either.
+    """
+    if node.op == "const":
+        value = node.args[0]
+        return not (value == 0.0 and math.copysign(1.0, value) < 0.0)
+    if node.op == "+":
+        return _never_minus_zero(node.args[0]) or _never_minus_zero(node.args[1])
+    return False
+
+
+def _fold(node: Sym) -> Sym:
+    """``node`` with ``(p + z) + q`` written ``p + q`` wherever that keeps the bits.
+
+    The rule applies when z is +0.0 or -0.0 on every call and q is never
+    -0.0.  It drops the register term ``(a * 0.0 + c * 0.0) * register`` of
+    a coordinate with no register-relative part, before the origin offset
+    is added.  Proof: p + (-0.0) is p for every p, and p + (+0.0) is p except
+    that it turns p = -0.0 into +0.0; so p + z and p differ at most in the
+    sign of a zero.  Adding q removes that difference: -0.0 + q and
+    +0.0 + q are both q when q is not zero, and both +0.0 when q is +0.0,
+    the only zero q can be.  An infinite or NaN p is unchanged by z.
+    """
+    if node.op in ("var", "const"):
+        return node
+    args = tuple(_fold(arg) for arg in node.args)
+    if node.op == "+":
+        left, q = args
+        if left.op == "+" and _zero(left.args[1]) and _never_minus_zero(q):
+            return Sym("+", left.args[0], q)
+    return Sym(node.op, *args)
+
+
+# --- code generation --------------------------------------------------------
+
+# Python binding strength of each node kind; "-" shares "+"'s level.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "neg": 3, "var": 4, "const": 4}
+
+
+def _key(node: Sym):
+    """Structural identity; float.hex keeps 0.0 and -0.0 apart."""
+    if node.op == "const":
+        return ("const", float.hex(node.args[0]))
+    if node.op == "var":
+        return node.args
+    return (node.op, *(_key(arg) for arg in node.args))
+
+
+def _level(node: Sym, names: dict) -> int:
+    if _key(node) in names:
+        return 4
+    if node.op == "const" and math.copysign(1.0, node.args[0]) < 0.0:
+        return 3  # a negative literal prints with its unary minus
+    return _LEVEL[node.op]
+
+
+def _code(node: Sym, names: dict) -> str:
+    """Python source for ``node``, parenthesized to keep its grouping."""
+    name = names.get(_key(node))
+    if name is not None:
+        return name
+    if node.op == "var":
+        return node.args[0]
+    if node.op == "const":
+        return repr(node.args[0])
+
+    def operand(arg: Sym, least: int) -> str:
+        text = _code(arg, names)
+        return text if _level(arg, names) >= least else f"({text})"
+
+    if node.op == "neg":
+        return "-" + operand(node.args[0], 4)
+    level = _LEVEL[node.op]
+    # Both operators group left to right, so only a right operand at the
+    # same level needs parentheses.
+    return f"{operand(node.args[0], level)} {node.op} {operand(node.args[1], level + 1)}"
+
+
+def _shared(roots: list[Sym]) -> list[Sym]:
+    """Distinct subtrees used more than once, operands before their users."""
+    uses: dict = {}
+    order: list[Sym] = []
+
+    def visit(node: Sym) -> None:
+        key = _key(node)
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1 and node.op not in ("var", "const"):
+            for arg in node.args:
+                visit(arg)
+            order.append(node)
+
+    for root in roots:
+        visit(root)
+    return [node for node in order if uses[_key(node)] > 1]
+
+
+_CAPS = {"butt": "_BUTT", "round": "_ROUND_CAP"}
+_JOINS = {"miter": "_MITER", "round": "_ROUND_JOIN"}
+_ACTIONS = {"stroke": "_STROKE", "fill": "_FILL", "fillstroke": "_FILL_STROKE"}
+
+
+def compile_tip(definition: TipDefinition, function: str) -> str:
+    """Source of the placed evaluator ``function`` for one catalog entry."""
+    program, scene = trace(definition)
+    circle_ops = [index for index, op in enumerate(program.ops) if isinstance(op, Circle)]
+    values = {}  # id of a traced value -> its folded tree
+    roots = []
+    for drawable in scene:
+        for value in (drawable.width, *(v for op in drawable.outline for v in vars(op).values())):
+            values[id(value)] = folded = _fold(value)
+            roots.append(folded)
+    names = {}
+    lines = [f"def {function}(w, a, b, c, d, tx, ty):",
+             f"    # {definition.start_name!r} / {definition.end_name!r}"]
+    for index, node in enumerate(_shared(roots)):
+        lines.append(f"    v{index} = {_code(node, names)}")
+        names[_key(node)] = f"v{index}"
+    circles = iter(circle_ops)
+    radii = 0
+    drawables = []
+    for drawable in scene:
+        ops = []
+        for op in drawable.outline:
+            if isinstance(op, ClosePath):
+                ops.append("_CLOSE")
+                continue
+            args = [_code(values[id(value)], names) for value in vars(op).values()]
+            if isinstance(op, Circle):
+                # evaluate's radius check, kept at run time with its op index
+                radius = f"r{radii}"
+                radii += 1
+                lines += [f"    {radius} = {args[2]}",
+                          f"    if not {radius} > 0:",
+                          f"        raise ProgramError({next(circles)}, "
+                          f"f\"circle radius must be positive, got {{{radius}}}\")"]
+                args[2] = radius
+            # one (x, y) pair to a line
+            pairs = [", ".join(args[i:i + 2]) for i in range(0, len(args), 2)]
+            ops.append(f"{type(op).__name__}(" + ",\n                    ".join(pairs) + ")")
+        width = _code(values[id(drawable.width)], names)
+        outline = "".join(f"\n            {op}," for op in ops)
+        drawables.append(f"        Drawable(({outline}\n        ), {width}, "
+                         f"{_CAPS[drawable.cap.value]}, {_JOINS[drawable.join.value]}, "
+                         f"{_ACTIONS[drawable.action.value]}),")
+    lines += ["    return (", *drawables, "    )"]
+    return "\n".join(lines) + "\n"
+
+
+HEADER = '''\
+"""Placed evaluators of the catalog tips.
+
+GENERATED by scripts/compile_tips.py from catalog.py: do not edit.  After an
+edit to catalog.py, regenerate it with
+
+    PYTHONPATH=src python3 scripts/compile_tips.py
+
+``PLACED`` maps each tip's end name to a function of the stroke width w and a
+rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
+bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
+returns.  w must be finite and (a, b, c, d) the components of a unit
+direction, as ``attach.placement`` makes them.
+"""
+
+from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,
+                        MoveTo, ProgramError)
+
+_BUTT, _ROUND_CAP = LineCap.BUTT, LineCap.ROUND
+_MITER, _ROUND_JOIN = LineJoin.MITER, LineJoin.ROUND
+_STROKE, _FILL, _FILL_STROKE = Action.STROKE, Action.FILL, Action.FILL_STROKE
+_CLOSE = ClosePath()
+'''
+
+
+def module_text(definitions=None) -> str:
+    """The generated module for ``definitions`` (default: the whole registry)."""
+    definitions = registry() if definitions is None else definitions
+    parts = [HEADER]
+    for index, definition in enumerate(definitions):
+        parts.append("\n\n" + compile_tip(definition, f"_tip{index}"))
+    table = "".join(f"    {d.end_name!r}: _tip{i},\n" for i, d in enumerate(definitions))
+    parts.append("\n\nPLACED = {\n" + table + "}\n")
+    return "".join(parts)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="diff the committed module against a fresh one; exit 1 if they differ")
+    args = parser.parse_args(argv)
+    text = module_text()
+    if not args.check:
+        MODULE.write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {MODULE.name}: {len(registry())} tips, {text.count(chr(10))} lines")
+        return 0
+    committed = MODULE.read_text(encoding="utf-8") if MODULE.exists() else ""
+    diff = list(difflib.unified_diff(committed.splitlines(True), text.splitlines(True),
+                                     "committed", "generated"))
+    sys.stdout.writelines(diff)
+    print(f"{MODULE.name}: {'stale' if diff else 'up to date'}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

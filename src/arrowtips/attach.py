@@ -25,9 +25,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 from . import catalog
+from ._tips import PLACED
 from .catalog import Side, TipId
 from .geometry import AffineTransform, Point, rotation_to
 from .pathmodel import (
@@ -41,7 +42,7 @@ from .pathmodel import (
     PathOp,
     RenderProgram,
     Scene,
-    evaluate,
+    evaluate,  # noqa: F401  not called here; perfbench/tests read attach.evaluate
     transform_program,
 )
 from .specparser import ArrowSpec
@@ -374,8 +375,8 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
 
 
 def _attach(path: HostPath, side: Side, tip: TipId,
-            w: float) -> tuple[HostPath, RenderProgram, AffineTransform]:
-    """The shortened path, the tip's unplaced program and its placement."""
+            w: float) -> tuple[HostPath, AffineTransform]:
+    """The shortened path and the tip's placement."""
     extents = catalog.extents(tip, w)
     if not (math.isfinite(extents.left) and math.isfinite(extents.right)):
         raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
@@ -387,15 +388,30 @@ def _attach(path: HostPath, side: Side, tip: TipId,
         raise PathTooShortError(
             f"tip {tip.name!r} needs {right} of arc length, path has {length}"
         )
-    program = catalog.program(tip, w)
     transform = placement(path, side, right).transform
-    return shorten(path, side, right), program, transform
+    return shorten(path, side, right), transform
 
 
 def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
     """Shorten ``path`` for ``tip`` and return it with the placed program."""
-    shortened, program, transform = _attach(path, side, tip, w)
-    return shortened, transform_program(program, transform)
+    shortened, transform = _attach(path, side, tip, w)
+    return shortened, transform_program(catalog.program(tip, w), transform)
+
+
+def _placed_tip(tip: TipId, w: float, t: AffineTransform) -> Scene:
+    """``evaluate(transform_program(catalog.program(tip, w), t), w)``, bit for bit.
+
+    The generated evaluator of the tip computes it without building either
+    program.  A coordinate that overflows is an error, not a drawing.
+    """
+    scene = PLACED[tip.definition.end_name](w, t.a, t.b, t.c, t.d, t.tx, t.ty)
+    for drawable in scene:
+        for op in drawable.outline:
+            for value in vars(op).values():
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"coordinates of tip {tip.name!r} overflow at stroke width {w}")
+    return scene
 
 
 def path_outline(path: HostPath) -> tuple[PathOp, ...]:
@@ -421,15 +437,16 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     if not 0 < w < math.inf:
         raise ValueError(f"stroke width must be positive and finite, got {w}")
     shortened = path
-    end_program: Optional[RenderProgram] = None
-    start_program: Optional[RenderProgram] = None
-    end_placement = start_placement = None
+    start_scene: Scene = ()
+    end_scene: Scene = ()
     if spec.end is not None:
         tip = catalog.lookup(spec.end, Side.END)
-        shortened, end_program, end_placement = _attach(shortened, Side.END, tip, w)
+        shortened, transform = _attach(shortened, Side.END, tip, w)
+        end_scene = _placed_tip(tip, w, transform)
     if spec.start is not None:
         tip = catalog.lookup(spec.start, Side.START)
-        shortened, start_program, start_placement = _attach(shortened, Side.START, tip, w)
+        shortened, transform = _attach(shortened, Side.START, tip, w)
+        start_scene = _placed_tip(tip, w, transform)
     host = Drawable(
         outline=path_outline(shortened),
         width=w,
@@ -437,9 +454,4 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
         join=LineJoin.MITER,
         action=Action.STROKE,
     )
-    scene: list[Drawable] = [host]
-    if start_program is not None:
-        scene.extend(evaluate(start_program, w, start_placement))
-    if end_program is not None:
-        scene.extend(evaluate(end_program, w, end_placement))
-    return tuple(scene)
+    return (host, *start_scene, *end_scene)

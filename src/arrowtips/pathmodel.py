@@ -12,9 +12,7 @@ float coordinates only.
 
 Each path op rebuilds itself from its coordinate pairs put through a point
 map.  Evaluation, mirroring and rigid placement are three choices of that map,
-applied by one mapper.  Evaluation can also apply a rigid placement itself,
-resolving each placed coordinate straight to a float, so a program is
-placed without first building a transformed copy of it.
+applied by one mapper.
 """
 
 from __future__ import annotations
@@ -245,17 +243,12 @@ def _map(ops: Iterable[Op], point: PointMap, length: LengthMap,
             yield op
 
 
-def evaluate(program: RenderProgram, host_width: float,
-             placement: "AffineTransform | None" = None) -> Scene:
+def evaluate(program: RenderProgram, host_width: float) -> Scene:
     """Run ``program`` with the register initialized to ``host_width``.
 
     Initial state: register = host_width, butt cap, miter join.  Each action
     snapshots the state, emits the accumulated path, and clears the path;
     state persists across actions.
-
-    A ``placement`` is applied while evaluating: the result is bit-identical
-    to ``evaluate(transform_program(program, placement), host_width)``, with
-    each coordinate resolved in the same order of operations.
     """
     if not host_width > 0:
         raise ValueError(f"stroke width must be positive, got {host_width}")
@@ -272,31 +265,11 @@ def evaluate(program: RenderProgram, host_width: float,
     def length(v: Coord) -> float:
         return v.resolve(register) if isinstance(v, Scalar) else float(v)
 
-    if placement is None:
-        def vector(x: Coord, y: Coord) -> tuple[float, float]:
-            return length(x), length(y)
+    def vector(x: Coord, y: Coord) -> tuple[float, float]:
+        return length(x), length(y)
 
-        def point(x: Coord, y: Coord) -> tuple[float, float]:
-            return length(x) + offx, length(y) + offy
-    else:
-        a, b, c, d, tx, ty = (placement.a, placement.b, placement.c, placement.d,
-                              placement.tx, placement.ty)
-
-        # transform_program's Scalars, resolved as soon as they are formed.
-        # Radii are not rotated, so ``length`` serves both branches.
-        def vector(x: Coord, y: Coord) -> tuple[float, float]:
-            x, y = _as_scalar(x), _as_scalar(y)
-            return (
-                (a * x.fixed + c * y.fixed) + (a * x.widths + c * y.widths) * register,
-                (b * x.fixed + d * y.fixed) + (b * x.widths + d * y.widths) * register,
-            )
-
-        def point(x: Coord, y: Coord) -> tuple[float, float]:
-            x, y = _as_scalar(x), _as_scalar(y)
-            return (
-                (a * x.fixed + c * y.fixed + tx) + (a * x.widths + c * y.widths) * register + offx,
-                (b * x.fixed + d * y.fixed + ty) + (b * x.widths + d * y.widths) * register + offy,
-            )
+    def point(x: Coord, y: Coord) -> tuple[float, float]:
+        return length(x) + offx, length(y) + offy
 
     # _map resolves each op only when the loop reaches it, so the maps read
     # the register and origin as the ops before it left them.

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from arrowtips.attach import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _placed_tip,
     CubicSegment,
     DegeneratePathError,
     HostPath,
@@ -20,9 +22,18 @@ from arrowtips.attach import (
     placement,
     shorten,
 )
-from arrowtips.catalog import Side, UnknownTipError, extents, lookup, registry
-from arrowtips.geometry import Point, apply
-from arrowtips.pathmodel import Action, LineCap, evaluate
+from arrowtips.catalog import (
+    Side,
+    UnknownTipError,
+    end_names,
+    extents,
+    lookup,
+    program,
+    registry,
+    start_names,
+)
+from arrowtips.geometry import AffineTransform, Point, apply, rotation_to
+from arrowtips.pathmodel import Action, LineCap, evaluate, transform_program
 from arrowtips.specparser import ArrowSpec, parse
 
 
@@ -331,8 +342,8 @@ def _float_hex(scene):
 @given(st.one_of(line_hosts, cubic_hosts), maybe_tips, maybe_tips,
        st.floats(min_value=0.1, max_value=3.0))
 def test_decorate_places_each_tip_exactly_as_attach_does(host, start, end, w):
-    # decorate places the shared program while evaluating it; attach builds
-    # the placed copy.  Every coordinate must agree to the bit.
+    # decorate runs the tips' generated evaluators; attach builds the placed
+    # program.  Every coordinate must agree to the bit.
     assume(start is not None or end is not None)
     spec = ArrowSpec(start=start and start.start_name, end=end and end.end_name)
     placed = {}
@@ -346,6 +357,37 @@ def test_decorate_places_each_tip_exactly_as_attach_does(host, start, end, w):
     want = [d for side in (Side.START, Side.END) if side in placed
             for d in evaluate(placed[side], w)]
     assert list(_float_hex(decorate(host, spec, w)[1:])) == list(_float_hex(want))
+
+
+SWEEP_WIDTHS = (0.4, 0.8, 1.6, 0.37, 2.9, 1e-6, 1e6)
+
+
+def _sweep_placements():
+    # Axis-aligned directions give rotations with signed-zero entries.
+    directions = [Point(1.0, 0.0), Point(0.0, 1.0), Point(0.0, -1.0), Point(-1.0, 0.0),
+                  Point(math.cos(math.radians(30.0)), math.sin(math.radians(30.0)))]
+    rng = random.Random(6)
+    for _ in range(4):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        directions.append(Point(math.cos(angle), math.sin(angle)))
+    offsets = [(0.0, 0.0), (-0.0, -0.0), (12.5, -3.25), (-1e3, 0.1)]
+    yield AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    for i, direction in enumerate(directions):
+        r = rotation_to(direction)
+        yield AffineTransform(r.a, r.b, r.c, r.d, *offsets[i % len(offsets)])
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_generated_evaluators_match_the_interpreter_to_the_bit(side):
+    names = start_names() if side is Side.START else end_names()
+    placements = list(_sweep_placements())
+    for name in names:
+        tip = lookup(name, side)
+        for w in SWEEP_WIDTHS:
+            for t in placements:
+                want = evaluate(transform_program(program(tip, w), t), w)
+                got = _placed_tip(tip, w, t)
+                assert list(_float_hex(got)) == list(_float_hex(want)), (name, w, t)
 
 
 def test_placement_on_straight_host():

@@ -79,6 +79,23 @@ def test_render_and_gallery_report_overflowing_extents(tmp_path, capsys, args, m
     assert not out.exists()
 
 
+# The bracket's extents stay finite at these widths, but its drawing unit
+# does not, so its coordinates overflow; both sides of the host are covered.
+@pytest.mark.parametrize("spec, width, name", [
+    ("-]", "8e307", "]"),
+    ("-]", "1.25e308", "]"),
+    ("[-", "8e307", "["),
+])
+def test_render_reports_overflowing_tip_coordinates(tmp_path, capsys, spec, width, name):
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", spec, "--path", "M 0,0 L 1e308,0", "--width", width,
+            "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: coordinates of tip '{name}' overflow at stroke width {float(width)}\n")
+    assert not out.exists()
+
+
 def test_render_cubic_host(tmp_path):
     out = tmp_path / "arrow.svg"
     code = run(["render", "--spec", "[-latex'", "--path", CUBIC, "--out", str(out)])

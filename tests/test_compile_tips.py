@@ -1,0 +1,80 @@
+"""The generator of ``arrowtips._tips``, loaded from scripts/ by path."""
+
+import pytest
+
+from arrowtips.catalog import Extents, TipDefinition, registry
+from arrowtips.geometry import AffineTransform
+from arrowtips.pathmodel import (
+    Action,
+    ClosePath,
+    LineCap,
+    ProgramError,
+    RenderProgram,
+    SetCap,
+    circle,
+    evaluate,
+    line_to,
+    move_to,
+    transform_program,
+    wl,
+)
+
+
+def test_generated_module_matches_the_catalog(compiler):
+    assert compiler.MODULE.read_text(encoding="utf-8") == compiler.module_text()
+
+
+def test_traced_extents_match_the_oracle_rows_for_every_width(compiler, oracle):
+    assert len(registry()) == len(oracle.ENTRIES)
+    for definition, (start, end, left, right) in zip(registry(), oracle.ENTRIES):
+        assert (definition.start_name, definition.end_name) == (start, end)
+        traced_left, traced_right = compiler.affine_extents(definition)
+        for got, want in zip(traced_left + traced_right, left + right):
+            assert abs(got - want) <= 1e-12, (end, traced_left, traced_right)
+
+
+def _definition(program_fn):
+    return TipDefinition("bad", "bad", lambda w: Extents(0.0, w), program_fn)
+
+
+MALFORMED = {
+    "line without a subpath": lambda w: RenderProgram((
+        SetCap(LineCap.ROUND), line_to(w, 0.0), Action.STROKE)),
+    "close without a subpath": lambda w: RenderProgram((
+        move_to(0.0, 0.0), line_to(w, 0.0), Action.STROKE, ClosePath(), Action.FILL)),
+    "action with no path": lambda w: RenderProgram((
+        move_to(0.0, 0.0), line_to(w, 0.0), Action.STROKE, Action.FILL)),
+    "ops after the final action": lambda w: RenderProgram((
+        move_to(0.0, 0.0), line_to(w, 0.0), Action.STROKE, move_to(w, 0.0), line_to(0.0, w))),
+    "no action": lambda w: RenderProgram((SetCap(LineCap.ROUND),)),
+}
+
+
+@pytest.mark.parametrize("program_fn", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_programs_fail_to_compile_as_the_interpreter_rejects_them(compiler,
+                                                                             program_fn):
+    with pytest.raises(ProgramError) as interpreted:
+        evaluate(program_fn(1.0), 1.0)
+    with pytest.raises(ProgramError) as compiled:
+        compiler.compile_tip(_definition(program_fn), "_bad")
+    assert (compiled.value.index, str(compiled.value)) == (
+        interpreted.value.index, str(interpreted.value))
+
+
+def test_circle_radius_is_still_checked_at_run_time(compiler):
+    # 0.5 * w is positive for every w > 0, but underflows to 0.0 at the
+    # smallest subnormal width, which evaluate rejects.
+    definition = _definition(lambda w: RenderProgram((circle(0.0, 0.0, wl(0.5)), Action.STROKE)))
+    namespace = {"__name__": "arrowtips._generated", "__package__": "arrowtips"}
+    exec(compiler.module_text([definition]), namespace)
+    placed = namespace["PLACED"]["bad"]
+    t = AffineTransform(1.0, 0.0, -0.0, 1.0, 0.0, 0.0)
+    w = 5e-324
+    with pytest.raises(ProgramError) as interpreted:
+        evaluate(transform_program(definition.program_fn(w), t), w)
+    with pytest.raises(ProgramError) as compiled:
+        placed(w, t.a, t.b, t.c, t.d, t.tx, t.ty)
+    assert (compiled.value.index, str(compiled.value)) == (
+        interpreted.value.index, str(interpreted.value))
+    assert placed(1.0, t.a, t.b, t.c, t.d, t.tx, t.ty) == evaluate(
+        transform_program(definition.program_fn(1.0), t), 1.0)
