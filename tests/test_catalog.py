@@ -199,3 +199,28 @@ def test_extents_are_linear_in_width(name, w1, w2):
     a, b, m = extents(tip, w1), extents(tip, w2), extents(tip, mid)
     assert m.left == pytest.approx((a.left + b.left) / 2.0, rel=1e-9, abs=1e-9)
     assert m.right == pytest.approx((a.right + b.right) / 2.0, rel=1e-9, abs=1e-9)
+
+
+PIN_WIDTHS = (0.4, 0.8, 1.6, 0.37, 2.9, 1e-6, 1e6)
+# sha256 over every entry, both sides, every width in PIN_WIDTHS: the tip's
+# name, float.hex of both extents and repr of its program.  Any change to a
+# tip's arithmetic, even in the last bit of one coordinate, moves it.
+CATALOG_DIGEST = "599b59525a380c9878252746230f87d72a9db7dc362657481318b5fe85d4f18d"
+
+
+def _catalog_digest() -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for definition in registry():
+        for name, side in ((definition.start_name, Side.START), (definition.end_name, Side.END)):
+            tip = lookup(name, side)
+            for w in PIN_WIDTHS:
+                e = extents(tip, w)
+                digest.update(f"{name}|{side.value}|{float.hex(w)}|{float.hex(e.left)}|"
+                              f"{float.hex(e.right)}|{program(tip, w)!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_catalog_is_pinned_to_the_bit():
+    assert _catalog_digest() == CATALOG_DIGEST
