@@ -30,7 +30,7 @@ from .catalog import (
     registry,
     reverse_tip,
 )
-from .geometry import AffineTransform, Point, add, apply, compose, polar, rotation_to
+from .geometry import AffineTransform, Point, add, apply, polar, rotation_to
 from .pathmodel import (
     Action,
     Drawable,
@@ -75,7 +75,6 @@ __all__ = [
     "add",
     "apply",
     "attach",
-    "compose",
     "decorate",
     "end_tangent",
     "evaluate",

@@ -352,8 +352,6 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
 class Placement:
     """Rigid placement of a tip at a path end."""
 
-    anchor: Point
-    direction: Point
     transform: AffineTransform
 
 
@@ -370,8 +368,7 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
     rotation = rotation_to(direction)
     tx = endpoint.x - right_extent * direction.x
     ty = endpoint.y - right_extent * direction.y
-    transform = AffineTransform(rotation.a, rotation.b, rotation.c, rotation.d, tx, ty)
-    return Placement(Point(tx, ty), direction, transform)
+    return Placement(AffineTransform(rotation.a, rotation.b, rotation.c, rotation.d, tx, ty))
 
 
 def _attach(path: HostPath, side: Side, tip: TipId,

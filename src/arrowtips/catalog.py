@@ -7,7 +7,13 @@ render program.  Most tips measure themselves in a private base unit
 against the line-width register stay symbolic (``wl``) and follow mid-program
 register changes.
 
-Reversed forms declared as mirrors of an original satisfy, exactly:
+To add a tip, write its extents and program functions of w, or one family
+helper that returns the (extents, program) pairs of several shapes, as
+``_vee_family`` does, and ``_declare`` each entry in the registry section.
+Build no program at import.  Then rerun ``scripts/compile_tips.py``.
+
+Reversed forms declared as mirrors of an original, with
+``_declare_reversed(original_end_name)``, satisfy, exactly:
 left' = -right, right' = -left, program' = mirror_x(program).  Tips whose
 "X reversed" sibling is an independent declaration (the open triangles, the
 curved-tail tips, the cap chevrons) do not satisfy those laws and are not
@@ -132,7 +138,7 @@ def _bracket_extents(w: float) -> Extents:
 def _bracket_program(w: float) -> RenderProgram:
     # The drawing unit is larger than the extents unit, so the drawn bracket
     # overhangs its declared extents.  Kept as declared.
-    a = 2.0 + 1.5 * w
+    a = _PAREN_UNIT(w)
     b = a + w
     return RenderProgram((
         SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
@@ -282,98 +288,46 @@ def _open_diamond_program(w: float) -> RenderProgram:
     ))
 
 
-def _open_triangle_90_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-0.5 * w, 6.0 * a + 0.707 * w)
+def _open_triangle_family(length: float, front_w: float, arms: Callable[[float], tuple],
+                          reversed_arms: Callable[[float], tuple]):
+    """Extents and program functions of ``open triangle N`` and of its reversed form.
+
+    Both are closed, stroked outlines ``length`` triangle units long.  The
+    forward one draws ``arms(a)`` and reaches ``front_w`` widths past its tip
+    and half a width behind its base; the reversed one draws
+    ``reversed_arms(a)``, with the two reaches swapped.  The forms are
+    declared independently, not as mirrors.
+    """
+
+    def declared(arms, back_w: float, front_w: float):
+        def extents(w: float) -> Extents:
+            a = _TRIANGLE_UNIT(w)
+            return Extents(-back_w * w, length * a + front_w * w)
+
+        def program(w: float) -> RenderProgram:
+            return RenderProgram((
+                SetJoin(LineJoin.MITER),
+                *arms(_TRIANGLE_UNIT(w)),
+                ClosePath(),
+                Action.STROKE,
+            ))
+        return extents, program
+
+    return declared(arms, 0.5, front_w), declared(reversed_arms, front_w, 0.5)
 
 
-def _open_triangle_90_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        move_to(0.0, -6.0 * a),
-        line_to(6.0 * a, 0.0),
-        line_to(0.0, 6.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_90_reversed_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-0.707 * w, 6.0 * a + 0.5 * w)
-
-
-def _open_triangle_90_reversed_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        move_to(6.0 * a, -6.0 * a),
-        line_to(0.0, 0.0),
-        line_to(6.0 * a, 6.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_60_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-0.5 * w, 7.794 * a + w)
-
-
-def _open_triangle_60_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_60_reversed_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-w, 7.794 * a + 0.5 * w)
-
-
-def _open_triangle_60_reversed_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(0.0, 30.0, 9.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_45_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-0.5 * w, 9.205 * a + 1.28 * w)
-
-
-def _open_triangle_45_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_45_reversed_extents(w: float) -> Extents:
-    a = _TRIANGLE_UNIT(w)
-    return Extents(-1.28 * w, 9.205 * a + 0.5 * w)
-
-
-def _open_triangle_45_reversed_program(w: float) -> RenderProgram:
-    a = _TRIANGLE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.MITER),
-        *_vee_arm_ops(0.0, 23.0, 10.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
+_OPEN_TRIANGLE_90, _OPEN_TRIANGLE_90_REVERSED = _open_triangle_family(
+    6.0, 0.707,
+    lambda a: (move_to(0.0, -6.0 * a), line_to(6.0 * a, 0.0), line_to(0.0, 6.0 * a)),
+    lambda a: (move_to(6.0 * a, -6.0 * a), line_to(0.0, 0.0), line_to(6.0 * a, 6.0 * a)))
+_OPEN_TRIANGLE_60, _OPEN_TRIANGLE_60_REVERSED = _open_triangle_family(
+    7.794, 1.0,
+    lambda a: _vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
+    lambda a: _vee_arm_ops(0.0, 30.0, 9.0 * a))
+_OPEN_TRIANGLE_45, _OPEN_TRIANGLE_45_REVERSED = _open_triangle_family(
+    9.205, 1.28,
+    lambda a: _vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
+    lambda a: _vee_arm_ops(0.0, 23.0, 10.0 * a))
 
 
 # --- curved-outline tips ------------------------------------------------------
@@ -474,28 +428,18 @@ def _hook_arc_ops(a: float, sign: float):
     )
 
 
-def _hook_program(w: float, sign: float) -> RenderProgram:
+def _hook_program(w: float, sign: float, twin: bool = False) -> RenderProgram:
+    """A hook bending toward ``sign`` y; with ``twin``, also its mirror image."""
     a = _DOT_UNIT(w)
-    return RenderProgram((
+    ops = [
         SetCap(LineCap.ROUND),
         move_to(0.0, 0.0),
         line_to(0.75 * a, 0.0),
         *_hook_arc_ops(a, sign),
-        Action.STROKE,
-    ))
-
-
-def _hooks_program(w: float) -> RenderProgram:
-    a = _DOT_UNIT(w)
-    return RenderProgram((
-        SetCap(LineCap.ROUND),
-        move_to(0.0, 0.0),
-        line_to(0.75 * a, 0.0),
-        *_hook_arc_ops(a, 1.0),
-        move_to(0.75 * a, 0.0),
-        *_hook_arc_ops(a, -1.0),
-        Action.STROKE,
-    ))
+    ]
+    if twin:
+        ops += (move_to(0.75 * a, 0.0), *_hook_arc_ops(a, -1.0))
+    return RenderProgram((*ops, Action.STROKE))
 
 
 # --- serif ---------------------------------------------------------------------
@@ -548,72 +492,46 @@ def _butt_cap_program(w: float) -> RenderProgram:
     ))
 
 
+def _filled_cap(*subpaths: tuple, close: bool = False) -> Callable[[float], RenderProgram]:
+    """Program function of a filled cap outline whose points are in line widths.
+
+    Each subpath is a table of (x, y) points: a move to the first, lines to
+    the rest, and with ``close`` a closing segment.
+    """
+
+    def program(w: float) -> RenderProgram:
+        ops = []
+        for (x, y), *rest in subpaths:
+            ops.append(move_to(wl(x), wl(y)))
+            ops += (line_to(wl(x), wl(y)) for x, y in rest)
+            if close:
+                ops.append(ClosePath())
+        return RenderProgram((*ops, Action.FILL))
+    return program
+
+
 def _triangle_cap_extents(w: float) -> Extents:
     return Extents(-0.1 * w, w)
 
 
-def _triangle_cap_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        move_to(wl(-0.1), wl(0.5)),
-        line_to(wl(0.5), wl(0.5)),
-        line_to(wl(1.0), 0.0),
-        line_to(wl(0.5), wl(-0.5)),
-        line_to(wl(-0.1), wl(-0.5)),
-        Action.FILL,
-    ))
-
-
-def _triangle_cap_reversed_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        move_to(wl(1.0), wl(0.5)),
-        line_to(wl(-0.1), wl(0.5)),
-        line_to(wl(-0.1), wl(-0.5)),
-        line_to(wl(1.0), wl(-0.5)),
-        line_to(wl(0.5), 0.0),
-        Action.FILL,
-    ))
+_TRIANGLE_CAP_POINTS = ((-0.1, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, -0.5), (-0.1, -0.5))
+_triangle_cap_program = _filled_cap(_TRIANGLE_CAP_POINTS)
+_triangle_cap_reversed_program = _filled_cap(
+    ((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0)))
 
 
 def _fast_cap_extents(w: float) -> Extents:
     return Extents(-0.1 * w, 2.0 * w)
 
 
-def _fast_cap_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        move_to(wl(-0.1), wl(0.5)),
-        line_to(wl(0.5), wl(0.5)),
-        line_to(wl(1.0), 0.0),
-        line_to(wl(0.5), wl(-0.5)),
-        line_to(wl(-0.1), wl(-0.5)),
-        ClosePath(),
-        move_to(wl(1.0), wl(0.5)),
-        line_to(wl(1.5), wl(0.5)),
-        line_to(wl(2.0), 0.0),
-        line_to(wl(1.5), wl(-0.5)),
-        line_to(wl(1.0), wl(-0.5)),
-        line_to(wl(1.5), 0.0),
-        ClosePath(),
-        Action.FILL,
-    ))
-
-
-def _fast_cap_reversed_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        move_to(wl(-0.1), wl(0.5)),
-        line_to(wl(1.0), wl(0.5)),
-        line_to(wl(0.5), 0.0),
-        line_to(wl(1.0), wl(-0.5)),
-        line_to(wl(-0.1), wl(-0.5)),
-        ClosePath(),
-        move_to(wl(1.5), wl(0.5)),
-        line_to(wl(2.0), wl(0.5)),
-        line_to(wl(1.5), 0.0),
-        line_to(wl(2.0), wl(-0.5)),
-        line_to(wl(1.5), wl(-0.5)),
-        line_to(wl(1.0), 0.0),
-        ClosePath(),
-        Action.FILL,
-    ))
+_fast_cap_program = _filled_cap(
+    _TRIANGLE_CAP_POINTS,
+    ((1.0, 0.5), (1.5, 0.5), (2.0, 0.0), (1.5, -0.5), (1.0, -0.5), (1.5, 0.0)),
+    close=True)
+_fast_cap_reversed_program = _filled_cap(
+    ((-0.1, 0.5), (1.0, 0.5), (0.5, 0.0), (1.0, -0.5), (-0.1, -0.5)),
+    ((1.5, 0.5), (2.0, 0.5), (1.5, 0.0), (2.0, -0.5), (1.5, -0.5), (1.0, 0.0)),
+    close=True)
 
 
 # --- registry -------------------------------------------------------------------
@@ -624,87 +542,84 @@ _BY_END: dict[str, TipDefinition] = {}
 _PARTNER: dict[str, str] = {}
 
 
-def _declare(start: str, end: str, extents_fn, program_fn) -> TipDefinition:
-    definition = TipDefinition(start, end, extents_fn, program_fn)
+def _declare(start: str, extents_fn, program_fn, end: str | None = None) -> TipDefinition:
+    """Register an entry; its end name is its start name unless given."""
+    definition = TipDefinition(start, start if end is None else end, extents_fn, program_fn)
     _REGISTRY.append(definition)
-    _BY_START[start] = definition
-    _BY_END[end] = definition
+    _BY_START[definition.start_name] = definition
+    _BY_END[definition.end_name] = definition
     return definition
 
 
-def _declare_reversed(start: str, end: str, original_start: str, original_end: str) -> TipDefinition:
-    original = _BY_END[original_end]
-    assert original.start_name == original_start
+def _declare_reversed(original_end: str, start: str | None = None,
+                      end: str | None = None) -> TipDefinition:
+    """Register the mirror of the entry whose end name is ``original_end``.
 
-    def extents_fn(w: float, _orig=original) -> Extents:
-        e = _orig.extents_fn(w)
+    Both names default to ``"<original_end> reversed"``.
+    """
+    original = _BY_END[original_end]
+
+    def extents_fn(w: float) -> Extents:
+        e = original.extents_fn(w)
         return Extents(-e.right, -e.left)
 
-    def program_fn(w: float, _orig=original) -> RenderProgram:
-        return mirror_x(_orig.program_fn(w))
+    def program_fn(w: float) -> RenderProgram:
+        return mirror_x(original.program_fn(w))
 
-    definition = _declare(start, end, extents_fn, program_fn)
-    _PARTNER[end] = original_end
-    _PARTNER[original_end] = end
+    start = f"{original_end} reversed" if start is None else start
+    definition = _declare(start, extents_fn, program_fn, end)
+    _PARTNER[definition.end_name] = original_end
+    _PARTNER[original_end] = definition.end_name
     return definition
 
 
-_declare("[", "]", _bracket_extents, _bracket_program)
-_declare_reversed("]", "[", "[", "]")
-_declare("(", ")", _paren_extents, _paren_program)
-_declare_reversed(")", "(", "(", ")")
-_declare("angle 90", "angle 90", *_ANGLE_90)
-_declare_reversed("angle 90 reversed", "angle 90 reversed", "angle 90", "angle 90")
-_declare("angle 60", "angle 60", *_ANGLE_60)
-_declare_reversed("angle 60 reversed", "angle 60 reversed", "angle 60", "angle 60")
-_declare("angle 45", "angle 45", *_ANGLE_45)
-_declare_reversed("angle 45 reversed", "angle 45 reversed", "angle 45", "angle 45")
-_declare("*", "*", _filled_dot_extents, _filled_dot_program)
-_declare("o", "o", _open_dot_extents, _open_dot_program)
-_declare("diamond", "diamond", _diamond_extents, _diamond_program)
-_declare("open diamond", "open diamond", _open_diamond_extents, _open_diamond_program)
-_declare("triangle 90", "triangle 90", *_TRIANGLE_90)
-_declare_reversed("triangle 90 reversed", "triangle 90 reversed", "triangle 90", "triangle 90")
-_declare("triangle 60", "triangle 60", *_TRIANGLE_60)
-_declare_reversed("triangle 60 reversed", "triangle 60 reversed", "triangle 60", "triangle 60")
-_declare("triangle 45", "triangle 45", *_TRIANGLE_45)
-_declare_reversed("triangle 45 reversed", "triangle 45 reversed", "triangle 45", "triangle 45")
-_declare("open triangle 90", "open triangle 90",
-         _open_triangle_90_extents, _open_triangle_90_program)
-_declare("open triangle 90 reversed", "open triangle 90 reversed",
-         _open_triangle_90_reversed_extents, _open_triangle_90_reversed_program)
-_declare("open triangle 60", "open triangle 60",
-         _open_triangle_60_extents, _open_triangle_60_program)
-_declare("open triangle 60 reversed", "open triangle 60 reversed",
-         _open_triangle_60_reversed_extents, _open_triangle_60_reversed_program)
-_declare("open triangle 45", "open triangle 45",
-         _open_triangle_45_extents, _open_triangle_45_program)
-_declare("open triangle 45 reversed", "open triangle 45 reversed",
-         _open_triangle_45_reversed_extents, _open_triangle_45_reversed_program)
-_declare("latex'", "latex'", _latex_prime_extents, _latex_prime_program)
-_declare_reversed("latex' reversed", "latex' reversed", "latex'", "latex'")
-_declare("stealth'", "stealth'", _stealth_prime_extents, _stealth_prime_program)
-_declare_reversed("stealth' reversed", "stealth' reversed", "stealth'", "stealth'")
-_declare("left to", "left to", _to_extents, partial(_to_program, sign=1.0))
-_declare("right to", "right to", _to_extents, partial(_to_program, sign=-1.0))
-_declare("left to reversed", "left to reversed",
-         _to_reversed_extents, partial(_to_reversed_program, sign=1.0))
-_declare("right to reversed", "right to reversed",
-         _to_reversed_extents, partial(_to_reversed_program, sign=-1.0))
-_declare("left hook", "left hook", _hook_extents, partial(_hook_program, sign=1.0))
-_declare_reversed("left hook reversed", "left hook reversed", "left hook", "left hook")
-_declare("right hook", "right hook", _hook_extents, partial(_hook_program, sign=-1.0))
-_declare_reversed("right hook reversed", "right hook reversed", "right hook", "right hook")
-_declare("hooks", "hooks", _hook_extents, _hooks_program)
-_declare_reversed("hooks reversed", "hooks reversed", "hooks", "hooks")
-_declare("serif cm", "serif cm", _serif_extents, _serif_program)
-_declare("round cap", "round cap", _round_cap_extents, _round_cap_program)
-_declare("butt cap", "butt cap", _butt_cap_extents, _butt_cap_program)
-_declare("triangle 90 cap", "triangle 90 cap", _triangle_cap_extents, _triangle_cap_program)
-_declare("triangle 90 cap reversed", "triangle 90 cap reversed",
-         _triangle_cap_extents, _triangle_cap_reversed_program)
-_declare("fast cap", "fast cap", _fast_cap_extents, _fast_cap_program)
-_declare("fast cap reversed", "fast cap reversed", _fast_cap_extents, _fast_cap_reversed_program)
+_declare("[", _bracket_extents, _bracket_program, "]")
+_declare_reversed("]", "]", "[")
+_declare("(", _paren_extents, _paren_program, ")")
+_declare_reversed(")", ")", "(")
+_declare("angle 90", *_ANGLE_90)
+_declare_reversed("angle 90")
+_declare("angle 60", *_ANGLE_60)
+_declare_reversed("angle 60")
+_declare("angle 45", *_ANGLE_45)
+_declare_reversed("angle 45")
+_declare("*", _filled_dot_extents, _filled_dot_program)
+_declare("o", _open_dot_extents, _open_dot_program)
+_declare("diamond", _diamond_extents, _diamond_program)
+_declare("open diamond", _open_diamond_extents, _open_diamond_program)
+_declare("triangle 90", *_TRIANGLE_90)
+_declare_reversed("triangle 90")
+_declare("triangle 60", *_TRIANGLE_60)
+_declare_reversed("triangle 60")
+_declare("triangle 45", *_TRIANGLE_45)
+_declare_reversed("triangle 45")
+_declare("open triangle 90", *_OPEN_TRIANGLE_90)
+_declare("open triangle 90 reversed", *_OPEN_TRIANGLE_90_REVERSED)
+_declare("open triangle 60", *_OPEN_TRIANGLE_60)
+_declare("open triangle 60 reversed", *_OPEN_TRIANGLE_60_REVERSED)
+_declare("open triangle 45", *_OPEN_TRIANGLE_45)
+_declare("open triangle 45 reversed", *_OPEN_TRIANGLE_45_REVERSED)
+_declare("latex'", _latex_prime_extents, _latex_prime_program)
+_declare_reversed("latex'")
+_declare("stealth'", _stealth_prime_extents, _stealth_prime_program)
+_declare_reversed("stealth'")
+_declare("left to", _to_extents, partial(_to_program, sign=1.0))
+_declare("right to", _to_extents, partial(_to_program, sign=-1.0))
+_declare("left to reversed", _to_reversed_extents, partial(_to_reversed_program, sign=1.0))
+_declare("right to reversed", _to_reversed_extents, partial(_to_reversed_program, sign=-1.0))
+_declare("left hook", _hook_extents, partial(_hook_program, sign=1.0))
+_declare_reversed("left hook")
+_declare("right hook", _hook_extents, partial(_hook_program, sign=-1.0))
+_declare_reversed("right hook")
+_declare("hooks", _hook_extents, partial(_hook_program, sign=1.0, twin=True))
+_declare_reversed("hooks")
+_declare("serif cm", _serif_extents, _serif_program)
+_declare("round cap", _round_cap_extents, _round_cap_program)
+_declare("butt cap", _butt_cap_extents, _butt_cap_program)
+_declare("triangle 90 cap", _triangle_cap_extents, _triangle_cap_program)
+_declare("triangle 90 cap reversed", _triangle_cap_extents, _triangle_cap_reversed_program)
+_declare("fast cap", _fast_cap_extents, _fast_cap_program)
+_declare("fast cap reversed", _fast_cap_extents, _fast_cap_reversed_program)
 
 
 # --- public API -------------------------------------------------------------------

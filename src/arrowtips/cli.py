@@ -77,13 +77,6 @@ def _drawable_width(value: float) -> float:
     return value
 
 
-def _parse_widths(text: str) -> tuple[float, ...]:
-    widths = tuple(_drawable_width(float(part)) for part in text.split(","))
-    if not widths:
-        raise ValueError("need at least one width")
-    return widths
-
-
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(content)
@@ -95,7 +88,7 @@ def _full_precision(value: float) -> str:
 
 
 def _cmd_gallery(args: argparse.Namespace) -> int:
-    widths = _parse_widths(args.widths)
+    widths = tuple(_drawable_width(float(part)) for part in args.widths.split(","))
     host = HostPath((LineSegment(Point(0.0, 0.0), Point(REFERENCE_SEGMENT_LENGTH, 0.0)),))
     scenes = []
     for definition in catalog.registry():
@@ -112,15 +105,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
     min_x, min_y, max_x, max_y = svg.scene_bounds(scene)
     pad = 4.0
     label_zone = 12.0
-    document = svg.render_document(
-        [(args.spec, scene)],
-        columns=1,
-        cell_width=(max_x - min_x) + 2 * pad,
-        cell_height=(max_y - min_y) + 2 * pad + label_zone,
-        origin_x=pad - min_x,
-        origin_y=label_zone + pad + max_y,
-    )
-    _write_text(args.out, document)
+    layout = {
+        "cell_width": (max_x - min_x) + 2 * pad,
+        "cell_height": (max_y - min_y) + 2 * pad + label_zone,
+        "origin_x": pad - min_x,
+        "origin_y": label_zone + pad + max_y,
+    }
+    if not all(math.isfinite(value) for value in layout.values()):
+        raise ValueError("the drawing is too large to lay out: its size overflows")
+    _write_text(args.out, svg.render_document([(args.spec, scene)], columns=1, **layout))
     return 0
 
 

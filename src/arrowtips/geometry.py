@@ -55,17 +55,5 @@ def rotation_to(direction: Point) -> AffineTransform:
     return AffineTransform(direction.x, direction.y, -direction.y, direction.x, 0.0, 0.0)
 
 
-def compose(outer: AffineTransform, inner: AffineTransform) -> AffineTransform:
-    """``outer`` after ``inner``: apply(compose(outer, inner), p) == apply(outer, apply(inner, p))."""
-    return AffineTransform(
-        outer.a * inner.a + outer.c * inner.b,
-        outer.b * inner.a + outer.d * inner.b,
-        outer.a * inner.c + outer.c * inner.d,
-        outer.b * inner.c + outer.d * inner.d,
-        outer.a * inner.tx + outer.c * inner.ty + outer.tx,
-        outer.b * inner.tx + outer.d * inner.ty + outer.ty,
-    )
-
-
 def apply(t: AffineTransform, p: Point) -> Point:
     return Point(t.a * p.x + t.c * p.y + t.tx, t.b * p.x + t.d * p.y + t.ty)

@@ -34,6 +34,8 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+_PAINT = "#000"
+_LABEL_OPEN = '<text x="4" y="8" font-family="monospace" font-size="6">'
 _COMMANDS = {MoveTo: "M", LineTo: "L", CurveTo: "C", ClosePath: "Z"}
 
 
@@ -60,13 +62,13 @@ def to_path_data(outline: Iterable[PathOp]) -> str:
     return " ".join(parts)
 
 
-def _element(drawable, paint: str) -> str:
+def _element(drawable) -> str:
     d = to_path_data(drawable.outline)
     if drawable.action is Action.FILL:
-        return f'<path d="{d}" fill="{paint}" stroke="none"/>'
-    fill = paint if drawable.action is Action.FILL_STROKE else "none"
+        return f'<path d="{d}" fill="{_PAINT}" stroke="none"/>'
+    fill = _PAINT if drawable.action is Action.FILL_STROKE else "none"
     return (
-        f'<path d="{d}" fill="{fill}" stroke="{paint}"'
+        f'<path d="{d}" fill="{fill}" stroke="{_PAINT}"'
         f' stroke-width="{format_number(drawable.width)}"'
         f' stroke-linecap="{drawable.cap.value}"'
         f' stroke-linejoin="{drawable.join.value}"/>'
@@ -108,8 +110,6 @@ def render_document(
     cell_height: float = 30.0,
     origin_x: float = 28.0,
     origin_y: float = 20.0,
-    paint: str = "#000",
-    font_size: float = 6.0,
 ) -> str:
     """One SVG document laying the labeled scenes out on a fixed grid.
 
@@ -127,17 +127,16 @@ def render_document(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}">',
     ]
-    text_open = f'<text x="4" y="8" font-family="monospace" font-size="{fmt(font_size)}">'
     scene_open = f'<g transform="translate({fmt(origin_x)},{fmt(origin_y)}) scale(1,-1)">'
     for index, (label, scene) in enumerate(scenes):
         row, col = divmod(index, columns)
         cell_x = fmt(col * cell_width)
         cell_y = fmt(row * cell_height)
         lines.append(f'<g id="cell-r{row}-c{col}" transform="translate({cell_x},{cell_y})">')
-        lines.append(f"{text_open}{_escape(label)}</text>")
+        lines.append(f"{_LABEL_OPEN}{_escape(label)}</text>")
         lines.append(scene_open)
         for drawable in scene:
-            lines.append(_element(drawable, paint))
+            lines.append(_element(drawable))
         lines.append("</g>")
         lines.append("</g>")
     lines.append("</svg>")

@@ -391,17 +391,21 @@ def test_generated_evaluators_match_the_interpreter_to_the_bit(side):
 
 
 def test_placement_on_straight_host():
-    place = placement(line_host(), Side.END, 0.6)
-    assert place.direction == Point(1.0, 0.0)
-    assert place.anchor.x == pytest.approx(99.4, abs=1e-12)
+    host = line_host()
+    place = placement(host, Side.END, 0.6)
+    assert end_tangent(host, Side.END) == Point(1.0, 0.0)
+    assert place.transform.tx == pytest.approx(99.4, abs=1e-12)
+    assert place.transform.ty == 0.0
     front = apply(place.transform, Point(0.6, 0.0))
     assert front.x == pytest.approx(100.0, abs=1e-12)
     assert front.y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_placement_on_slanted_host():
-    place = placement(line_host(0.0, 0.0, 60.0, 80.0), Side.END, 1.0)
-    assert place.direction == Point(0.6, 0.8)
+    host = line_host(0.0, 0.0, 60.0, 80.0)
+    place = placement(host, Side.END, 1.0)
+    assert end_tangent(host, Side.END) == Point(0.6, 0.8)
+    assert (place.transform.tx, place.transform.ty) == pytest.approx((59.4, 79.2), abs=1e-12)
     front = apply(place.transform, Point(1.0, 0.0))
     assert front.x == pytest.approx(60.0, abs=1e-9)
     assert front.y == pytest.approx(80.0, abs=1e-9)
@@ -412,8 +416,10 @@ def test_placement_on_slanted_host():
 
 
 def test_placement_at_start_points_backward():
-    place = placement(line_host(), Side.START, 0.5)
-    assert place.direction == Point(-1.0, 0.0)
+    host = line_host()
+    place = placement(host, Side.START, 0.5)
+    assert end_tangent(host, Side.START) == Point(-1.0, 0.0)
+    assert (place.transform.tx, place.transform.ty) == (0.5, 0.0)
     front = apply(place.transform, Point(0.5, 0.0))
     assert front.x == pytest.approx(0.0, abs=1e-12)
 

@@ -130,6 +130,21 @@ def test_render_rejects_a_path_whose_length_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+# With no tip the path length is never measured, so only the layout can
+# notice that the drawing's size overflows.
+@pytest.mark.parametrize("path, width", [
+    ("M -1.7e308,0 L 1.7e308,0", "0.4"),
+    ("M 0,0 L 1e308,1e308", "1e308"),
+], ids=["long-host", "wide-stroke"])
+def test_render_rejects_a_drawing_too_large_to_lay_out(tmp_path, capsys, path, width):
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-", "--path", path, "--width", width, "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: the drawing is too large to lay out: its size overflows\n")
+    assert not out.exists()
+
+
 def test_render_rejects_bad_path(tmp_path):
     out = tmp_path / "x.svg"
     assert run(["render", "--spec", "-", "--path", "L 1,2", "--out", str(out)]) == 2

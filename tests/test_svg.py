@@ -179,11 +179,11 @@ def test_stroke_element_attribute_set():
 def test_fill_stroke_element_paints_both():
     program = RenderProgram((Circle(0.0, 0.0, 2.0), Action.FILL_STROKE))
     scene = evaluate(program, 1.0)
-    text = render_document([("x", scene)], paint="#123")
+    text = render_document([("x", scene)])
     root = ET.fromstring(text)
     (path,) = root[0][1]
-    assert path.get("fill") == "#123"
-    assert path.get("stroke") == "#123"
+    assert path.get("fill") == "#000"
+    assert path.get("stroke") == "#000"
 
 
 def test_attribute_order_is_fixed():
