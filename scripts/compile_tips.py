@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Generate ``src/arrowtips/_tips.py``: one placed evaluator per catalog tip.
+"""Generate ``src/arrowtips/_tips.py``: one placed evaluator per drawn shape.
 
 Every tip program is a pure function of the stroke width w.  This script
-calls each registry entry's ``program_fn`` once with a symbolic width, places
+calls each drawn shape's ``program_fn`` once with a symbolic width, places
 the result with a symbolic rigid transform and runs the interpreter on it:
 
     evaluate(transform_program(program_fn(W), (A, B, C, D, TX, TY)), W)
@@ -14,7 +14,8 @@ are then written out as one straight-line function of
 ``(w, a, b, c, d, tx, ty)``.  Shared subtrees are computed once, into a
 local; that is exact, because the same float operations on the same operands
 give the same bits.  Trees are otherwise copied as they are, apart from the
-one fold in ``_fold``, whose proof is written beside it.
+one fold in ``_fold``, whose proof is written beside it.  A declared mirror
+is not traced: it calls its original with the x axis flipped (``module_text``).
 
 Running the interpreter on the traced program also checks its structure
 once per tip: a program that ``evaluate`` would reject raises the same
@@ -49,7 +50,7 @@ except (ImportError, SyntaxError):
     sys.modules["arrowtips._tips"] = types.SimpleNamespace(PLACED={})
 
 from arrowtips import geometry, pathmodel  # noqa: E402
-from arrowtips.catalog import TipDefinition, registry  # noqa: E402
+from arrowtips.catalog import TipDefinition, declared_reversals, registry  # noqa: E402
 from arrowtips.geometry import AffineTransform  # noqa: E402
 from arrowtips.pathmodel import Circle, ClosePath, Scalar, evaluate, transform_program  # noqa: E402
 
@@ -205,10 +206,10 @@ def affine_extents(definition: TipDefinition) -> tuple[tuple[float, float], tupl
 def _finite(node: Sym) -> bool:
     """True where the value is finite for every call.
 
-    ``decorate`` passes a finite w, and a, b, c, d are the components of a
-    unit direction.  tx and ty may overflow, so they do not count.  A product
-    with a constant of magnitude at most 1, such as a register rescale by 0.8,
-    stays finite.
+    ``decorate`` passes a finite w, and a, b, c, d are finite: a rotation's
+    components, or their flip (-a, -b, c, d) for a mirror.  tx and ty may
+    overflow, so they do not count.  A product with a constant of magnitude at
+    most 1, such as a register rescale by 0.8, stays finite.
     """
     if node.op == "var":
         return node.args[0] in ("w", "a", "b", "c", "d")
@@ -397,8 +398,8 @@ edit to catalog.py, regenerate it with
 ``PLACED`` maps each tip's end name to a function of the stroke width w and a
 rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
 bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
-returns.  w must be finite and (a, b, c, d) the components of a unit
-direction, as ``attach.placement`` makes them.
+returns.  w and a, b, c, d must be finite: a rotation from ``attach.placement``
+or, passed by a declared mirror to its original, its reflection (-a, -b, c, d).
 """
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,
@@ -412,14 +413,26 @@ _CLOSE = ClosePath()
 
 
 def module_text(definitions=None) -> str:
-    """The generated module for ``definitions`` (default: the whole registry)."""
+    """The generated module for ``definitions`` (default: the whole registry).
+
+    A declared mirror calls its original with (-a, -b, c, d), which is exact:
+    ``mirror_x`` negates only x parts (``Scalar.fixed``, ``.widths``,
+    ``Translate.dx``), ``transform_program`` multiplies them only by a and b,
+    and IEEE gives ``a * -v == -a * v`` to the bit, signed zeros and infinities
+    included.  Radii and ops are kept, so the original's checks cover it too.
+    """
     definitions = registry() if definitions is None else definitions
+    first = {d.end_name: i for i, d in enumerate(definitions)}
     parts = [HEADER]
-    for index, definition in enumerate(definitions):
-        parts.append("\n\n" + compile_tip(definition, f"_tip{index}"))
+    for i, d in enumerate(definitions):
+        k = first.get(declared_reversals().get(d.end_name), i)  # the original
+        parts.append(f"def _tip{i}(w, a, b, c, d, tx, ty):\n    # {d.start_name!r} / {d.end_name!r}"
+                     f": mirror of {definitions[k].start_name!r} / {definitions[k].end_name!r}\n"
+                     f"    return _tip{k}(w, -a, -b, c, d, tx, ty)\n" if k < i else
+                     compile_tip(d, f"_tip{i}"))
     table = "".join(f"    {d.end_name!r}: _tip{i},\n" for i, d in enumerate(definitions))
-    parts.append("\n\nPLACED = {\n" + table + "}\n")
-    return "".join(parts)
+    parts.append("PLACED = {\n" + table + "}\n")
+    return "\n\n".join(parts)
 
 
 def main(argv=None) -> int:
@@ -430,7 +443,9 @@ def main(argv=None) -> int:
     text = module_text()
     if not args.check:
         MODULE.write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {MODULE.name}: {len(registry())} tips, {text.count(chr(10))} lines")
+        mirrors = len(declared_reversals()) // 2
+        print(f"wrote {MODULE.name}: {len(registry())} tips, {len(registry()) - mirrors} traced, "
+              f"{mirrors} mirrors, {text.count(chr(10))} lines")
         return 0
     committed = MODULE.read_text(encoding="utf-8") if MODULE.exists() else ""
     diff = list(difflib.unified_diff(committed.splitlines(True), text.splitlines(True),

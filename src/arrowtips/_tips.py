@@ -8,8 +8,8 @@ edit to catalog.py, regenerate it with
 ``PLACED`` maps each tip's end name to a function of the stroke width w and a
 rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
 bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
-returns.  w must be finite and (a, b, c, d) the components of a unit
-direction, as ``attach.placement`` makes them.
+returns.  w and a, b, c, d must be finite: a rotation from ``attach.placement``
+or, passed by a declared mirror to its original, its reflection (-a, -b, c, d).
 """
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,
@@ -45,26 +45,8 @@ def _tip0(w, a, b, c, d, tx, ty):
 
 
 def _tip1(w, a, b, c, d, tx, ty):
-    # ']' / '['
-    v0 = 2.0 + 1.5 * w
-    v1 = -(-0.5 * (v0 + w))
-    v2 = a * v1
-    v3 = -v0
-    v4 = c * v3
-    v5 = b * v1
-    v6 = d * v3
-    v7 = a * -0.0
-    v8 = b * -0.0
-    v9 = c * v0
-    v10 = d * v0
-    return (
-        Drawable((
-            MoveTo(v2 + v4 + tx + 0.0, v5 + v6 + ty + 0.0),
-            LineTo(v7 + v4 + tx + 0.0, v8 + v6 + ty + 0.0),
-            LineTo(v7 + v9 + tx + 0.0, v8 + v10 + ty + 0.0),
-            LineTo(v2 + v9 + tx + 0.0, v5 + v10 + ty + 0.0),
-        ), w, _BUTT, _MITER, _STROKE),
-    )
+    # ']' / '[': mirror of '[' / ']'
+    return _tip0(w, -a, -b, c, d, tx, ty)
 
 
 def _tip2(w, a, b, c, d, tx, ty):
@@ -89,25 +71,8 @@ def _tip2(w, a, b, c, d, tx, ty):
 
 
 def _tip3(w, a, b, c, d, tx, ty):
-    # ')' / '('
-    v0 = 2.0 + 1.5 * w
-    v1 = -0.5 * v0
-    v2 = -v1
-    v3 = a * v2
-    v4 = -v0
-    v5 = b * v2
-    v6 = -(0.25 * v0)
-    v7 = a * v6
-    v8 = b * v6
-    v9 = 0.5 * v0
-    return (
-        Drawable((
-            MoveTo(v3 + c * v4 + tx + 0.0, v5 + d * v4 + ty + 0.0),
-            CurveTo(v7 + c * v1 + tx + 0.0, v8 + d * v1 + ty + 0.0,
-                    v7 + c * v9 + tx + 0.0, v8 + d * v9 + ty + 0.0,
-                    v3 + c * v0 + tx + 0.0, v5 + d * v0 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # ')' / '(': mirror of '(' / ')'
+    return _tip2(w, -a, -b, c, d, tx, ty)
 
 
 def _tip4(w, a, b, c, d, tx, ty):
@@ -129,21 +94,8 @@ def _tip4(w, a, b, c, d, tx, ty):
 
 
 def _tip5(w, a, b, c, d, tx, ty):
-    # 'angle 90 reversed' / 'angle 90 reversed'
-    v0 = 0.3 + 0.25 * w
-    v1 = -(-5.5 * v0)
-    v2 = a * v1
-    v3 = -6.0 * v0
-    v4 = b * v1
-    v5 = -(0.5 * v0)
-    v6 = 6.0 * v0
-    return (
-        Drawable((
-            MoveTo(v2 + c * v3 + tx + 0.0, v4 + d * v3 + ty + 0.0),
-            LineTo(a * v5 + c * 0.0 + tx + 0.0, b * v5 + d * 0.0 + ty + 0.0),
-            LineTo(v2 + c * v6 + tx + 0.0, v4 + d * v6 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'angle 90 reversed' / 'angle 90 reversed': mirror of 'angle 90' / 'angle 90'
+    return _tip4(w, -a, -b, c, d, tx, ty)
 
 
 def _tip6(w, a, b, c, d, tx, ty):
@@ -166,23 +118,8 @@ def _tip6(w, a, b, c, d, tx, ty):
 
 
 def _tip7(w, a, b, c, d, tx, ty):
-    # 'angle 60 reversed' / 'angle 60 reversed'
-    v0 = 0.3 + 0.25 * w
-    v1 = 0.5 * v0
-    v2 = 9.0 * v0
-    v3 = -(v1 + v2 * -0.8660254037844387)
-    v4 = a * v3
-    v5 = 0.0 + v2 * 0.49999999999999994
-    v6 = b * v3
-    v7 = -v1
-    v8 = 0.0 + v2 * -0.49999999999999994
-    return (
-        Drawable((
-            MoveTo(v4 + c * v5 + tx + 0.0, v6 + d * v5 + ty + 0.0),
-            LineTo(a * v7 + c * 0.0 + tx + 0.0, b * v7 + d * 0.0 + ty + 0.0),
-            LineTo(v4 + c * v8 + tx + 0.0, v6 + d * v8 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'angle 60 reversed' / 'angle 60 reversed': mirror of 'angle 60' / 'angle 60'
+    return _tip6(w, -a, -b, c, d, tx, ty)
 
 
 def _tip8(w, a, b, c, d, tx, ty):
@@ -205,23 +142,8 @@ def _tip8(w, a, b, c, d, tx, ty):
 
 
 def _tip9(w, a, b, c, d, tx, ty):
-    # 'angle 45 reversed' / 'angle 45 reversed'
-    v0 = 0.3 + 0.25 * w
-    v1 = 0.5 * v0
-    v2 = 10.0 * v0
-    v3 = -(v1 + v2 * -0.9205048534524404)
-    v4 = a * v3
-    v5 = 0.0 + v2 * 0.39073112848927377
-    v6 = b * v3
-    v7 = -v1
-    v8 = 0.0 + v2 * -0.39073112848927377
-    return (
-        Drawable((
-            MoveTo(v4 + c * v5 + tx + 0.0, v6 + d * v5 + ty + 0.0),
-            LineTo(a * v7 + c * 0.0 + tx + 0.0, b * v7 + d * 0.0 + ty + 0.0),
-            LineTo(v4 + c * v8 + tx + 0.0, v6 + d * v8 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'angle 45 reversed' / 'angle 45 reversed': mirror of 'angle 45' / 'angle 45'
+    return _tip8(w, -a, -b, c, d, tx, ty)
 
 
 def _tip10(w, a, b, c, d, tx, ty):
@@ -317,22 +239,8 @@ def _tip14(w, a, b, c, d, tx, ty):
 
 
 def _tip15(w, a, b, c, d, tx, ty):
-    # 'triangle 90 reversed' / 'triangle 90 reversed'
-    v0 = 0.5 + 0.25 * w
-    v1 = -(-5.5 * v0)
-    v2 = a * v1
-    v3 = -6.0 * v0
-    v4 = b * v1
-    v5 = -(0.5 * v0)
-    v6 = 6.0 * v0
-    return (
-        Drawable((
-            MoveTo(v2 + c * v3 + tx + 0.0, v4 + d * v3 + ty + 0.0),
-            LineTo(a * v5 + c * 0.0 + tx + 0.0, b * v5 + d * 0.0 + ty + 0.0),
-            LineTo(v2 + c * v6 + tx + 0.0, v4 + d * v6 + ty + 0.0),
-            _CLOSE,
-        ), w, _BUTT, _MITER, _FILL_STROKE),
-    )
+    # 'triangle 90 reversed' / 'triangle 90 reversed': mirror of 'triangle 90' / 'triangle 90'
+    return _tip14(w, -a, -b, c, d, tx, ty)
 
 
 def _tip16(w, a, b, c, d, tx, ty):
@@ -356,24 +264,8 @@ def _tip16(w, a, b, c, d, tx, ty):
 
 
 def _tip17(w, a, b, c, d, tx, ty):
-    # 'triangle 60 reversed' / 'triangle 60 reversed'
-    v0 = 0.5 + 0.25 * w
-    v1 = 0.5 * v0
-    v2 = 9.0 * v0
-    v3 = -(v1 + v2 * -0.8660254037844387)
-    v4 = a * v3
-    v5 = 0.0 + v2 * 0.49999999999999994
-    v6 = b * v3
-    v7 = -v1
-    v8 = 0.0 + v2 * -0.49999999999999994
-    return (
-        Drawable((
-            MoveTo(v4 + c * v5 + tx + 0.0, v6 + d * v5 + ty + 0.0),
-            LineTo(a * v7 + c * 0.0 + tx + 0.0, b * v7 + d * 0.0 + ty + 0.0),
-            LineTo(v4 + c * v8 + tx + 0.0, v6 + d * v8 + ty + 0.0),
-            _CLOSE,
-        ), w, _BUTT, _MITER, _FILL_STROKE),
-    )
+    # 'triangle 60 reversed' / 'triangle 60 reversed': mirror of 'triangle 60' / 'triangle 60'
+    return _tip16(w, -a, -b, c, d, tx, ty)
 
 
 def _tip18(w, a, b, c, d, tx, ty):
@@ -397,24 +289,8 @@ def _tip18(w, a, b, c, d, tx, ty):
 
 
 def _tip19(w, a, b, c, d, tx, ty):
-    # 'triangle 45 reversed' / 'triangle 45 reversed'
-    v0 = 0.5 + 0.25 * w
-    v1 = 0.5 * v0
-    v2 = 10.0 * v0
-    v3 = -(v1 + v2 * -0.9205048534524404)
-    v4 = a * v3
-    v5 = 0.0 + v2 * 0.39073112848927377
-    v6 = b * v3
-    v7 = -v1
-    v8 = 0.0 + v2 * -0.39073112848927377
-    return (
-        Drawable((
-            MoveTo(v4 + c * v5 + tx + 0.0, v6 + d * v5 + ty + 0.0),
-            LineTo(a * v7 + c * 0.0 + tx + 0.0, b * v7 + d * 0.0 + ty + 0.0),
-            LineTo(v4 + c * v8 + tx + 0.0, v6 + d * v8 + ty + 0.0),
-            _CLOSE,
-        ), w, _BUTT, _MITER, _FILL_STROKE),
-    )
+    # 'triangle 45 reversed' / 'triangle 45 reversed': mirror of 'triangle 45' / 'triangle 45'
+    return _tip18(w, -a, -b, c, d, tx, ty)
 
 
 def _tip20(w, a, b, c, d, tx, ty):
@@ -567,44 +443,8 @@ def _tip26(w, a, b, c, d, tx, ty):
 
 
 def _tip27(w, a, b, c, d, tx, ty):
-    # "latex' reversed" / "latex' reversed"
-    v0 = 0.28 + 0.3 * w
-    v1 = -(6.0 * v0)
-    v2 = a * v1 + c * 0.0 + tx + 0.0
-    v3 = b * v1 + d * 0.0 + ty + 0.0
-    v4 = -(3.5 * v0)
-    v5 = a * v4
-    v6 = 0.5 * v0
-    v7 = b * v4
-    v8 = -v0
-    v9 = -v8
-    v10 = a * v9
-    v11 = 1.5 * v0
-    v12 = b * v9
-    v13 = -(-4.0 * v0)
-    v14 = a * v13
-    v15 = 3.75 * v0
-    v16 = b * v13
-    v17 = -1.5 * v0
-    v18 = -v17
-    v19 = a * v18
-    v20 = b * v18
-    v21 = -3.75 * v0
-    v22 = -0.5 * v0
-    return (
-        Drawable((
-            MoveTo(v2, v3),
-            CurveTo(v5 + c * v6 + tx + 0.0, v7 + d * v6 + ty + 0.0,
-                    v10 + c * v11 + tx + 0.0, v12 + d * v11 + ty + 0.0,
-                    v14 + c * v15 + tx + 0.0, v16 + d * v15 + ty + 0.0),
-            CurveTo(v19 + c * v0 + tx + 0.0, v20 + d * v0 + ty + 0.0,
-                    v19 + c * v8 + tx + 0.0, v20 + d * v8 + ty + 0.0,
-                    v14 + c * v21 + tx + 0.0, v16 + d * v21 + ty + 0.0),
-            CurveTo(v10 + c * v17 + tx + 0.0, v12 + d * v17 + ty + 0.0,
-                    v5 + c * v22 + tx + 0.0, v7 + d * v22 + ty + 0.0,
-                    v2, v3),
-        ), w, _BUTT, _MITER, _FILL),
-    )
+    # "latex' reversed" / "latex' reversed": mirror of "latex'" / "latex'"
+    return _tip26(w, -a, -b, c, d, tx, ty)
 
 
 def _tip28(w, a, b, c, d, tx, ty):
@@ -646,42 +486,8 @@ def _tip28(w, a, b, c, d, tx, ty):
 
 
 def _tip29(w, a, b, c, d, tx, ty):
-    # "stealth' reversed" / "stealth' reversed"
-    v0 = 0.28 + 0.3 * w
-    v1 = -(2.0 * v0)
-    v2 = a * v1 + c * 0.0 + tx + 0.0
-    v3 = b * v1 + d * 0.0 + ty + 0.0
-    v4 = -0.5 * v0
-    v5 = -v4
-    v6 = a * v5
-    v7 = 0.5 * v0
-    v8 = b * v5
-    v9 = -(-3.0 * v0)
-    v10 = a * v9
-    v11 = 1.5 * v0
-    v12 = b * v9
-    v13 = -(-6.0 * v0)
-    v14 = a * v13
-    v15 = 3.25 * v0
-    v16 = b * v13
-    v17 = -v0
-    v18 = -3.25 * v0
-    v19 = -1.5 * v0
-    return (
-        Drawable((
-            MoveTo(v2, v3),
-            CurveTo(v6 + c * v7 + tx + 0.0, v8 + d * v7 + ty + 0.0,
-                    v10 + c * v11 + tx + 0.0, v12 + d * v11 + ty + 0.0,
-                    v14 + c * v15 + tx + 0.0, v16 + d * v15 + ty + 0.0),
-            CurveTo(v10 + c * v0 + tx + 0.0, v12 + d * v0 + ty + 0.0,
-                    v10 + c * v17 + tx + 0.0, v12 + d * v17 + ty + 0.0,
-                    v14 + c * v18 + tx + 0.0, v16 + d * v18 + ty + 0.0),
-            CurveTo(v10 + c * v19 + tx + 0.0, v12 + d * v19 + ty + 0.0,
-                    v6 + c * v4 + tx + 0.0, v8 + d * v4 + ty + 0.0,
-                    v2, v3),
-            _CLOSE,
-        ), w, _BUTT, _ROUND_JOIN, _FILL_STROKE),
-    )
+    # "stealth' reversed" / "stealth' reversed": mirror of "stealth'" / "stealth'"
+    return _tip28(w, -a, -b, c, d, tx, ty)
 
 
 def _tip30(w, a, b, c, d, tx, ty):
@@ -875,37 +681,8 @@ def _tip34(w, a, b, c, d, tx, ty):
 
 
 def _tip35(w, a, b, c, d, tx, ty):
-    # 'left hook reversed' / 'left hook reversed'
-    v0 = c * 0.0
-    v1 = d * 0.0
-    v2 = 0.4 + 0.2 * w
-    v3 = -(0.75 * v2)
-    v4 = a * v3
-    v5 = b * v3
-    v6 = -(2.415 * v2)
-    v7 = a * v6
-    v8 = b * v6
-    v9 = -(3.75 * v2)
-    v10 = a * v9
-    v11 = 1.665 * v2
-    v12 = b * v9
-    v13 = 3.0 * v2
-    v14 = 4.665 * v2
-    v15 = 6.0 * v2
-    v16 = c * v15
-    v17 = d * v15
-    return (
-        Drawable((
-            MoveTo(a * -0.0 + v0 + tx + 0.0, b * -0.0 + v1 + ty + 0.0),
-            LineTo(v4 + v0 + tx + 0.0, v5 + v1 + ty + 0.0),
-            CurveTo(v7 + v0 + tx + 0.0, v8 + v1 + ty + 0.0,
-                    v10 + c * v11 + tx + 0.0, v12 + d * v11 + ty + 0.0,
-                    v10 + c * v13 + tx + 0.0, v12 + d * v13 + ty + 0.0),
-            CurveTo(v10 + c * v14 + tx + 0.0, v12 + d * v14 + ty + 0.0,
-                    v7 + v16 + tx + 0.0, v8 + v17 + ty + 0.0,
-                    v4 + v16 + tx + 0.0, v5 + v17 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'left hook reversed' / 'left hook reversed': mirror of 'left hook' / 'left hook'
+    return _tip34(w, -a, -b, c, d, tx, ty)
 
 
 def _tip36(w, a, b, c, d, tx, ty):
@@ -943,37 +720,8 @@ def _tip36(w, a, b, c, d, tx, ty):
 
 
 def _tip37(w, a, b, c, d, tx, ty):
-    # 'right hook reversed' / 'right hook reversed'
-    v0 = c * 0.0
-    v1 = d * 0.0
-    v2 = 0.4 + 0.2 * w
-    v3 = -(0.75 * v2)
-    v4 = a * v3
-    v5 = b * v3
-    v6 = -(2.415 * v2)
-    v7 = a * v6
-    v8 = b * v6
-    v9 = -(3.75 * v2)
-    v10 = a * v9
-    v11 = -1.665 * v2
-    v12 = b * v9
-    v13 = -3.0 * v2
-    v14 = -4.665 * v2
-    v15 = -6.0 * v2
-    v16 = c * v15
-    v17 = d * v15
-    return (
-        Drawable((
-            MoveTo(a * -0.0 + v0 + tx + 0.0, b * -0.0 + v1 + ty + 0.0),
-            LineTo(v4 + v0 + tx + 0.0, v5 + v1 + ty + 0.0),
-            CurveTo(v7 + v0 + tx + 0.0, v8 + v1 + ty + 0.0,
-                    v10 + c * v11 + tx + 0.0, v12 + d * v11 + ty + 0.0,
-                    v10 + c * v13 + tx + 0.0, v12 + d * v13 + ty + 0.0),
-            CurveTo(v10 + c * v14 + tx + 0.0, v12 + d * v14 + ty + 0.0,
-                    v7 + v16 + tx + 0.0, v8 + v17 + ty + 0.0,
-                    v4 + v16 + tx + 0.0, v5 + v17 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'right hook reversed' / 'right hook reversed': mirror of 'right hook' / 'right hook'
+    return _tip36(w, -a, -b, c, d, tx, ty)
 
 
 def _tip38(w, a, b, c, d, tx, ty):
@@ -1028,54 +776,8 @@ def _tip38(w, a, b, c, d, tx, ty):
 
 
 def _tip39(w, a, b, c, d, tx, ty):
-    # 'hooks reversed' / 'hooks reversed'
-    v0 = c * 0.0
-    v1 = d * 0.0
-    v2 = 0.4 + 0.2 * w
-    v3 = -(0.75 * v2)
-    v4 = a * v3
-    v5 = v4 + v0 + tx + 0.0
-    v6 = b * v3
-    v7 = v6 + v1 + ty + 0.0
-    v8 = -(2.415 * v2)
-    v9 = a * v8
-    v10 = v9 + v0 + tx + 0.0
-    v11 = b * v8
-    v12 = v11 + v1 + ty + 0.0
-    v13 = -(3.75 * v2)
-    v14 = a * v13
-    v15 = 1.665 * v2
-    v16 = b * v13
-    v17 = 3.0 * v2
-    v18 = 4.665 * v2
-    v19 = 6.0 * v2
-    v20 = c * v19
-    v21 = d * v19
-    v22 = -1.665 * v2
-    v23 = -3.0 * v2
-    v24 = -4.665 * v2
-    v25 = -6.0 * v2
-    v26 = c * v25
-    v27 = d * v25
-    return (
-        Drawable((
-            MoveTo(a * -0.0 + v0 + tx + 0.0, b * -0.0 + v1 + ty + 0.0),
-            LineTo(v5, v7),
-            CurveTo(v10, v12,
-                    v14 + c * v15 + tx + 0.0, v16 + d * v15 + ty + 0.0,
-                    v14 + c * v17 + tx + 0.0, v16 + d * v17 + ty + 0.0),
-            CurveTo(v14 + c * v18 + tx + 0.0, v16 + d * v18 + ty + 0.0,
-                    v9 + v20 + tx + 0.0, v11 + v21 + ty + 0.0,
-                    v4 + v20 + tx + 0.0, v6 + v21 + ty + 0.0),
-            MoveTo(v5, v7),
-            CurveTo(v10, v12,
-                    v14 + c * v22 + tx + 0.0, v16 + d * v22 + ty + 0.0,
-                    v14 + c * v23 + tx + 0.0, v16 + d * v23 + ty + 0.0),
-            CurveTo(v14 + c * v24 + tx + 0.0, v16 + d * v24 + ty + 0.0,
-                    v9 + v26 + tx + 0.0, v11 + v27 + ty + 0.0,
-                    v4 + v26 + tx + 0.0, v6 + v27 + ty + 0.0),
-        ), w, _ROUND_CAP, _MITER, _STROKE),
-    )
+    # 'hooks reversed' / 'hooks reversed': mirror of 'hooks' / 'hooks'
+    return _tip38(w, -a, -b, c, d, tx, ty)
 
 
 def _tip40(w, a, b, c, d, tx, ty):

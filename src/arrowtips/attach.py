@@ -374,10 +374,7 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
 def _attach(path: HostPath, side: Side, tip: TipId,
             w: float) -> tuple[HostPath, AffineTransform]:
     """The shortened path and the tip's placement."""
-    extents = catalog.extents(tip, w)
-    if not (math.isfinite(extents.left) and math.isfinite(extents.right)):
-        raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
-    right = extents.right
+    right = catalog.extents(tip, w).right
     length = path_length(path)
     if not math.isfinite(length):
         raise ValueError("path length overflows")

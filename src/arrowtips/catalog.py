@@ -649,9 +649,12 @@ def lookup(name: str, side: Side) -> TipId:
 
 
 def extents(tip: TipId, w: float) -> Extents:
-    """Signed horizontal reach of ``tip`` at stroke width ``w``."""
+    """Signed horizontal reach of ``tip`` at stroke width ``w``; ValueError if it overflows."""
     _check_width(w)
-    return tip.definition.extents_fn(w)
+    e = tip.definition.extents_fn(w)
+    if not (math.isfinite(e.left) and math.isfinite(e.right)):
+        raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
+    return e
 
 
 def program(tip: TipId, w: float) -> RenderProgram:

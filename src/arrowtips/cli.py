@@ -121,8 +121,6 @@ def _cmd_extents(args: argparse.Namespace) -> int:
     side = Side.START if args.side == "start" else Side.END
     tip = catalog.lookup(args.tip, side)
     result = catalog.extents(tip, args.width)
-    if not (math.isfinite(result.left) and math.isfinite(result.right)):
-        raise ValueError(f"extents of tip {args.tip!r} overflow at stroke width {args.width}")
     print(f"left={_full_precision(result.left)} right={_full_precision(result.right)}")
     return 0
 

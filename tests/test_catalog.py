@@ -66,6 +66,13 @@ def test_width_must_be_positive():
             program(tip, w)
 
 
+def test_extents_that_overflow_are_rejected():
+    # a finite width whose right extent overflows to inf
+    with pytest.raises(ValueError) as err:
+        extents(lookup("latex'", Side.END), 1e308)
+    assert str(err.value) == "extents of tip \"latex'\" overflow at stroke width 1e+308"
+
+
 # values frozen from the closed-form extent expressions; each is
 # left(w) = l0 + l1*w, right(w) = r0 + r1*w evaluated in float64
 FROZEN_EXTENTS = [

@@ -1,8 +1,11 @@
 """The generator of ``arrowtips._tips``, loaded from scripts/ by path."""
 
+import ast
+
 import pytest
 
-from arrowtips.catalog import Extents, TipDefinition, registry
+from arrowtips import _tips
+from arrowtips.catalog import Extents, TipDefinition, declared_reversals, registry
 from arrowtips.geometry import AffineTransform
 from arrowtips.pathmodel import (
     Action,
@@ -22,6 +25,28 @@ from arrowtips.pathmodel import (
 
 def test_generated_module_matches_the_catalog(compiler):
     assert compiler.MODULE.read_text(encoding="utf-8") == compiler.module_text()
+
+
+def test_each_declared_mirror_calls_its_original_and_every_other_tip_is_traced(compiler):
+    tree = ast.parse(compiler.MODULE.read_text(encoding="utf-8"))
+    bodies = {node.name: node.body for node in tree.body if isinstance(node, ast.FunctionDef)}
+    index = {d.end_name: i for i, d in enumerate(registry())}
+    # the later entry of each declared pair -> the earlier one, its original
+    originals = {index[end]: index[other] for end, other in declared_reversals().items()
+                 if index[other] < index[end]}
+    assert len(originals) == 13
+    for i, definition in enumerate(registry()):
+        assert _tips.PLACED[definition.end_name].__name__ == f"_tip{i}"
+        body = bodies[f"_tip{i}"]
+        if i in originals:
+            assert [ast.unparse(s) for s in body] == [
+                f"return _tip{originals[i]}(w, -a, -b, c, d, tx, ty)"]
+            continue
+        names = {n.id for s in body for n in ast.walk(s) if isinstance(n, ast.Name)}
+        assert not any(name.startswith("_tip") for name in names), definition.end_name
+        drawn = body[-1].value
+        assert isinstance(drawn, ast.Tuple)
+        assert all(e.func.id == "Drawable" for e in drawn.elts), definition.end_name
 
 
 def test_traced_extents_match_the_oracle_rows_for_every_width(compiler, oracle):
