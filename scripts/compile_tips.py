@@ -24,17 +24,17 @@ checked at run time.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 scripts/compile_tips.py          # rewrite the module
-    PYTHONPATH=src python3 scripts/compile_tips.py --check  # exit 1 if it is stale
+    PYTHONPATH=src python3 scripts/compile_tips.py   # rewrite the module
 
-Run it after every edit to ``catalog.py``; a tier-1 test fails while the
-committed module differs from what this script writes.
+Run it after every edit to ``catalog.py``; the tier-1 test
+``test_generated_module_matches_the_catalog`` fails while the committed
+module differs from what this script writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
+import ast
 import math
 import sys
 import types
@@ -274,10 +274,6 @@ def _fold(node: Sym) -> Sym:
 
 # --- code generation --------------------------------------------------------
 
-# Python binding strength of each node kind; "-" shares "+"'s level.
-_LEVEL = {"+": 1, "-": 1, "*": 2, "neg": 3, "var": 4, "const": 4}
-
-
 def _key(node: Sym):
     """Structural identity; float.hex keeps 0.0 and -0.0 apart."""
     if node.op == "const":
@@ -287,34 +283,25 @@ def _key(node: Sym):
     return (node.op, *(_key(arg) for arg in node.args))
 
 
-def _level(node: Sym, names: dict) -> int:
-    if _key(node) in names:
-        return 4
-    if node.op == "const" and math.copysign(1.0, node.args[0]) < 0.0:
-        return 3  # a negative literal prints with its unary minus
-    return _LEVEL[node.op]
+_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 
 
 def _code(node: Sym, names: dict) -> str:
-    """Python source for ``node``, parenthesized to keep its grouping."""
-    name = names.get(_key(node))
-    if name is not None:
-        return name
-    if node.op == "var":
-        return node.args[0]
-    if node.op == "const":
-        return repr(node.args[0])
+    """Python source for ``node``; ``ast.unparse`` adds the parentheses its grouping needs."""
 
-    def operand(arg: Sym, least: int) -> str:
-        text = _code(arg, names)
-        return text if _level(arg, names) >= least else f"({text})"
+    def tree(node: Sym) -> ast.expr:
+        name = names.get(_key(node))
+        if name is not None:
+            return ast.Name(name)
+        if node.op == "var":
+            return ast.Name(node.args[0])
+        if node.op == "const":
+            return ast.Constant(node.args[0])
+        if node.op == "neg":
+            return ast.UnaryOp(ast.USub(), tree(node.args[0]))
+        return ast.BinOp(tree(node.args[0]), _OPERATORS[node.op](), tree(node.args[1]))
 
-    if node.op == "neg":
-        return "-" + operand(node.args[0], 4)
-    level = _LEVEL[node.op]
-    # Both operators group left to right, so only a right operand at the
-    # same level needs parentheses.
-    return f"{operand(node.args[0], level)} {node.op} {operand(node.args[1], level + 1)}"
+    return ast.unparse(tree(node))
 
 
 def _shared(roots: list[Sym]) -> list[Sym]:
@@ -436,23 +423,13 @@ def module_text(definitions=None) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="diff the committed module against a fresh one; exit 1 if they differ")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     text = module_text()
-    if not args.check:
-        MODULE.write_text(text, encoding="utf-8", newline="\n")
-        mirrors = len(declared_reversals()) // 2
-        print(f"wrote {MODULE.name}: {len(registry())} tips, {len(registry()) - mirrors} traced, "
-              f"{mirrors} mirrors, {text.count(chr(10))} lines")
-        return 0
-    committed = MODULE.read_text(encoding="utf-8") if MODULE.exists() else ""
-    diff = list(difflib.unified_diff(committed.splitlines(True), text.splitlines(True),
-                                     "committed", "generated"))
-    sys.stdout.writelines(diff)
-    print(f"{MODULE.name}: {'stale' if diff else 'up to date'}")
-    return 1 if diff else 0
+    MODULE.write_text(text, encoding="utf-8", newline="\n")
+    mirrors = len(declared_reversals()) // 2
+    print(f"wrote {MODULE.name}: {len(registry())} tips, {len(registry()) - mirrors} traced, "
+          f"{mirrors} mirrors, {text.count(chr(10))} lines")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,23 +1,22 @@
-#!/usr/bin/env python3
 """Standalone extent table for the arrow-tip catalog.
 
-This script keeps its own hand-expanded transcription of every tip's extent
+This module keeps its own hand-expanded transcription of every tip's extent
 formulas, reduced to affine coefficients
 
     left(w)  = l0 + l1 * w
     right(w) = r0 + r1 * w
 
 independently of how the package computes them (the package evaluates the
-nested base-unit expressions at runtime).  The two sources are compared by the
-acceptance suite; run with --check to diff them from the command line.
+nested base-unit expressions at runtime).  The tier-1 tests compare the two:
+``test_acceptance.py::test_every_extent_matches_the_independent_table`` at
+w in {0.4, 0.8, 1.6} within 1e-9 pt, and ``test_compile_tips.py`` against the
+traced extents of every entry.  The tests and ``perfbench`` load it by path;
+it has no command line.
 
 Rows are in registry order: (start name, end name, (l0, l1), (r0, r1)).
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 Row = tuple[str, str, tuple[float, float], tuple[float, float]]
 
@@ -81,52 +80,3 @@ def extents(end_name: str, width: float) -> tuple[float, float]:
         if name == end_name:
             return (l0 + l1 * width, r0 + r1 * width)
     raise KeyError(end_name)
-
-
-def dump_lines() -> list[str]:
-    lines = ["# end name\tstart name\tl0\tl1\tr0\tr1"]
-    for start, end, (l0, l1), (r0, r1) in ENTRIES:
-        lines.append(f"{end}\t{start}\t{l0!r}\t{l1!r}\t{r0!r}\t{r1!r}")
-    return lines
-
-
-def check_against_package(tolerance: float = 1e-9) -> list[str]:
-    """Compare this table with the installed package at a few widths."""
-    from arrowtips import catalog
-
-    problems = []
-    registry_ends = [entry.end_name for entry in catalog.registry()]
-    if registry_ends != end_names():
-        problems.append(f"name order differs: {registry_ends} != {end_names()}")
-    for _, end, _, _ in ENTRIES:
-        for width in (0.4, 0.8, 1.6):
-            want = extents(end, width)
-            try:
-                got = catalog.extents(catalog.lookup(end, catalog.Side.END), width)
-            except Exception as exc:
-                problems.append(f"{end}: lookup/extents failed: {exc}")
-                continue
-            if abs(got.left - want[0]) > tolerance or abs(got.right - want[1]) > tolerance:
-                problems.append(
-                    f"{end} at w={width}: package ({got.left}, {got.right}) != table {want}"
-                )
-    return problems
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="diff the table against the installed package")
-    args = parser.parse_args(argv)
-    if args.check:
-        problems = check_against_package()
-        for line in problems:
-            print(line, file=sys.stderr)
-        print(f"{len(ENTRIES)} entries, {len(problems)} mismatches")
-        return 1 if problems else 0
-    print("\n".join(dump_lines()))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -30,7 +30,7 @@ from .catalog import (
     registry,
     reverse_tip,
 )
-from .geometry import AffineTransform, Point, add, apply, polar, rotation_to
+from .geometry import AffineTransform, Point, add, apply, polar
 from .pathmodel import (
     Action,
     Drawable,
@@ -92,7 +92,6 @@ __all__ = [
     "registry",
     "render_document",
     "reverse_tip",
-    "rotation_to",
     "shorten",
     "to_path_data",
     "transform_program",

@@ -22,6 +22,7 @@ removes its amount to within about 2e-12 * L.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,7 @@ from typing import Union
 from . import catalog
 from ._tips import PLACED
 from .catalog import Side, TipId
-from .geometry import AffineTransform, Point, rotation_to
+from .geometry import AffineTransform, Point
 from .pathmodel import (
     Action,
     CurveTo,
@@ -301,6 +302,11 @@ def end_tangent(path: HostPath, side: Side) -> Point:
             dx = tip.x - candidate.x
             dy = tip.y - candidate.y
             length = math.hypot(dx, dy)
+            if 0.0 < length < sys.float_info.min:
+                # A subnormal length has too few bits to divide by; scaling
+                # both parts by a power of two is exact and gives it all 53.
+                dx, dy = dx * 2.0 ** 1000, dy * 2.0 ** 1000
+                length = math.hypot(dx, dy)
             if length > 0.0:
                 return Point(dx / length, dy / length)
     raise DegeneratePathError("path has no direction: all points coincide")
@@ -363,12 +369,12 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
     original endpoint to machine precision whatever the host curvature.  On a
     straight host the tip origin then lands exactly on the shortened endpoint.
     """
-    direction = end_tangent(path, side)
+    u = end_tangent(path, side)
     endpoint = _endpoint(path, side)
-    rotation = rotation_to(direction)
-    tx = endpoint.x - right_extent * direction.x
-    ty = endpoint.y - right_extent * direction.y
-    return Placement(AffineTransform(rotation.a, rotation.b, rotation.c, rotation.d, tx, ty))
+    # The rotation is read off the unit tangent, so axis-aligned tangents give
+    # exact entries without trigonometry.
+    return Placement(AffineTransform(u.x, u.y, -u.y, u.x, endpoint.x - right_extent * u.x,
+                                     endpoint.y - right_extent * u.y))
 
 
 def _attach(path: HostPath, side: Side, tip: TipId,

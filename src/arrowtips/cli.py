@@ -20,7 +20,7 @@ from . import catalog, svg
 from .attach import HostPath, LineSegment, CubicSegment, decorate
 from .catalog import Side
 from .geometry import Point
-from .specparser import ArrowSpec, parse
+from .specparser import ArrowSpec, format_spec, parse
 
 REFERENCE_SEGMENT_LENGTH = 40.0
 DEFAULT_WIDTHS = (0.4, 0.8, 1.6)
@@ -101,7 +101,8 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     host = parse_path_literal(args.path)
-    scene = decorate(host, parse(args.spec), _drawable_width(args.width))
+    spec = parse(args.spec)
+    scene = decorate(host, spec, _drawable_width(args.width))
     min_x, min_y, max_x, max_y = svg.scene_bounds(scene)
     pad = 4.0
     label_zone = 12.0
@@ -113,7 +114,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     }
     if not all(math.isfinite(value) for value in layout.values()):
         raise ValueError("the drawing is too large to lay out: its size overflows")
-    _write_text(args.out, svg.render_document([(args.spec, scene)], columns=1, **layout))
+    _write_text(args.out, svg.render_document([(format_spec(spec), scene)], columns=1, **layout))
     return 0
 
 

@@ -46,14 +46,5 @@ class AffineTransform:
     ty: float
 
 
-def rotation_to(direction: Point) -> AffineTransform:
-    """Rotation taking the +x axis onto a unit ``direction``.
-
-    Built directly from the vector components, so axis-aligned directions give
-    exact matrices with no trigonometry involved.
-    """
-    return AffineTransform(direction.x, direction.y, -direction.y, direction.x, 0.0, 0.0)
-
-
 def apply(t: AffineTransform, p: Point) -> Point:
     return Point(t.a * p.x + t.c * p.y + t.tx, t.b * p.x + t.d * p.y + t.ty)

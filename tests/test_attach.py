@@ -32,7 +32,7 @@ from arrowtips.catalog import (
     registry,
     start_names,
 )
-from arrowtips.geometry import AffineTransform, Point, apply, rotation_to
+from arrowtips.geometry import AffineTransform, Point, apply
 from arrowtips.pathmodel import Action, LineCap, evaluate, transform_program
 from arrowtips.specparser import ArrowSpec, parse
 
@@ -75,6 +75,34 @@ def test_slanted_line_tangent_is_exact():
     path = line_host(0.0, 0.0, 60.0, 80.0)
     assert end_tangent(path, Side.END) == Point(0.6, 0.8)
     assert end_tangent(path, Side.START) == Point(-0.6, -0.8)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_tangent_of_a_subnormal_segment_has_unit_length(side):
+    steps = [(1, 1), (3, 4), (1, 2), (-7, 3), (1000, -1), (-2, -5)]
+    angles = (10.0, 45.0, 100.0, 200.0, 333.0)
+    parts = [(m * 5e-324, n * 5e-324) for m, n in steps]
+    parts += [(1e-310 * math.cos(math.radians(a)), 1e-310 * math.sin(math.radians(a)))
+              for a in angles]
+    sign = 1.0 if side is Side.END else -1.0
+    for dx, dy in parts:
+        host = HostPath((LineSegment(Point(0.0, 0.0), Point(dx, dy)),))
+        u = end_tangent(host, side)
+        assert abs(math.hypot(u.x, u.y) - 1.0) <= math.ulp(1.0), (dx, dy)
+        assert (u.x > 0.0, u.y > 0.0) == (sign * dx > 0.0, sign * dy > 0.0)
+
+
+def _reach(end):
+    """Farthest coordinate of a ``-latex'`` tip from the end of its host."""
+    host = HostPath((LineSegment(Point(-100.0, 0.0), Point(0.0, 0.0)),
+                     LineSegment(Point(0.0, 0.0), end)))
+    tip = decorate(host, parse("-latex'"), 0.4)[1:]
+    values = [v for d in tip for op in d.outline for v in vars(op).values()]
+    return max(math.hypot(x - end.x, y - end.y) for x, y in zip(values[::2], values[1::2]))
+
+
+def test_a_subnormal_end_segment_places_the_tip_at_its_true_size():
+    assert _reach(Point(5e-324, 5e-324)) == pytest.approx(_reach(Point(1.0, 1.0)), rel=1e-12)
 
 
 def numeric_end_tangent(segment, side):
@@ -373,8 +401,8 @@ def _sweep_placements():
     offsets = [(0.0, 0.0), (-0.0, -0.0), (12.5, -3.25), (-1e3, 0.1)]
     yield AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     for i, direction in enumerate(directions):
-        r = rotation_to(direction)
-        yield AffineTransform(r.a, r.b, r.c, r.d, *offsets[i % len(offsets)])
+        yield AffineTransform(direction.x, direction.y, -direction.y, direction.x,
+                              *offsets[i % len(offsets)])
 
 
 @pytest.mark.parametrize("side", [Side.START, Side.END])
@@ -413,6 +441,15 @@ def test_placement_on_slanted_host():
     up = apply(place.transform, Point(1.0, 1.0))
     assert up.x == pytest.approx(60.0 - 0.8, abs=1e-9)
     assert up.y == pytest.approx(80.0 + 0.6, abs=1e-9)
+
+
+def test_placement_rotation_is_exact_on_axis_aligned_hosts():
+    up = placement(line_host(0.0, 0.0, 0.0, 10.0), Side.END, 0.0).transform
+    assert (up.a, up.b, up.c, up.d) == (0.0, 1.0, -1.0, 0.0)
+    assert apply(up, Point(1.0, 0.0)) == Point(0.0, 11.0)
+    back = placement(line_host(), Side.START, 0.0).transform
+    assert apply(back, Point(1.0, 0.0)) == Point(-1.0, 0.0)
+    assert apply(back, Point(0.0, 1.0)) == Point(0.0, -1.0)
 
 
 def test_placement_at_start_points_backward():

@@ -122,6 +122,16 @@ def test_render_takes_an_end_only_spec_as_a_separate_argument(tmp_path, spec):
     assert len(paths) >= 2  # host plus the end tip
 
 
+# parse strips all str.isspace() padding, some of which XML 1.0 forbids.
+@pytest.mark.parametrize("spec", ["\f-latex'", "\x1c-latex'", "-latex'\x0b", " [-latex'\x1f\t"])
+def test_render_labels_a_padded_spec_without_its_padding(tmp_path, spec):
+    out = tmp_path / "arrow.svg"
+    assert run(["render", "--spec", spec, "--path", "M 0,0 L 100,0", "--out", str(out)]) == 0
+    label = ET.fromstring(out.read_text(encoding="utf-8")).find(
+        ".//{http://www.w3.org/2000/svg}text")
+    assert label.text == spec.strip()
+
+
 def test_render_rejects_a_path_whose_length_overflows(tmp_path, capsys):
     out = tmp_path / "x.svg"
     args = ["render", "--spec", "-latex'", "--path", "M -1e308,0 L 1e308,0", "--out", str(out)]

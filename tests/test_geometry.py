@@ -10,7 +10,6 @@ from arrowtips.geometry import (
     add,
     apply,
     polar,
-    rotation_to,
 )
 
 IDENTITY = AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -85,18 +84,3 @@ def test_rotation_quarter_turn():
     p = apply(quarter, Point(1.0, 0.0))
     assert p.x == pytest.approx(0.0, abs=1e-15)
     assert p.y == pytest.approx(1.0, abs=1e-15)
-
-
-@given(st.floats(min_value=-360, max_value=360))
-def test_rotation_agrees_with_rotation_to(angle):
-    rad = math.radians(angle)
-    c, s = math.cos(rad), math.sin(rad)
-    assert AffineTransform(c, s, -s, c, 0.0, 0.0) == rotation_to(polar(angle, 1.0))
-
-
-def test_rotation_to_axis_directions_are_exact():
-    up = rotation_to(Point(0.0, 1.0))
-    assert apply(up, Point(1.0, 0.0)) == Point(0.0, 1.0)
-    back = rotation_to(Point(-1.0, 0.0))
-    assert apply(back, Point(1.0, 0.0)) == Point(-1.0, 0.0)
-    assert apply(back, Point(0.0, 1.0)) == Point(0.0, -1.0)

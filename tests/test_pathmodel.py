@@ -307,9 +307,7 @@ def test_mirror_y_leaves_x_alone():
 
 
 def test_transform_program_moves_points_and_keeps_state_ops():
-    from arrowtips.geometry import Point, rotation_to
-
-    quarter = rotation_to(Point(0.0, 1.0))  # exact, built without trig
+    quarter = AffineTransform(0.0, 1.0, -1.0, 0.0, 0.0, 0.0)  # exact, built without trig
     program = RenderProgram(
         (
             SetLineWidthFactor(0.8),
@@ -334,9 +332,7 @@ def test_transform_program_moves_points_and_keeps_state_ops():
 
 
 def test_transform_program_keeps_register_relative_parts_symbolic():
-    from arrowtips.geometry import Point, rotation_to
-
-    quarter = rotation_to(Point(0.0, 1.0))
+    quarter = AffineTransform(0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
     program = RenderProgram((move_to(wl(1.0), 0.0), Action.STROKE))
     turned = transform_program(program, quarter)
     m = turned.ops[0]
