@@ -13,9 +13,9 @@ arithmetic that the interpreter does at a float width.  Each tip's drawables
 are then written out as one straight-line function of
 ``(w, a, b, c, d, tx, ty)``.  Shared subtrees are computed once, into a
 local; that is exact, because the same float operations on the same operands
-give the same bits.  Trees are otherwise copied as they are, apart from the
-one fold in ``_fold``, whose proof is written beside it.  A declared mirror
-is not traced: it calls its original with the x axis flipped (``module_text``).
+give the same bits.  Trees are otherwise copied as they are.  A declared
+mirror is not traced: it calls its original with the x axis flipped
+(``module_text``).
 
 Running the interpreter on the traced program also checks its structure
 once per tip: a program that ``evaluate`` would reject raises the same
@@ -24,7 +24,7 @@ checked at run time.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 scripts/compile_tips.py   # rewrite the module
+    python3 scripts/compile_tips.py   # rewrite the module
 
 Run it after every edit to ``catalog.py``; the tier-1 test
 ``test_generated_module_matches_the_catalog`` fails while the committed
@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import argparse
 import ast
-import math
 import sys
 import types
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+
+# Trace the catalog of this checkout, whatever the caller's path.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 # The package imports the generated module.  A broken or missing copy must
 # not stop its own regeneration, and the tracer never calls it.
@@ -49,12 +51,11 @@ try:
 except (ImportError, SyntaxError):
     sys.modules["arrowtips._tips"] = types.SimpleNamespace(PLACED={})
 
-from arrowtips import geometry, pathmodel  # noqa: E402
 from arrowtips.catalog import TipDefinition, declared_reversals, registry  # noqa: E402
 from arrowtips.geometry import AffineTransform  # noqa: E402
-from arrowtips.pathmodel import Circle, ClosePath, Scalar, evaluate, transform_program  # noqa: E402
+from arrowtips.pathmodel import Circle, ClosePath, evaluate, transform_program  # noqa: E402
 
-MODULE = Path(__file__).resolve().parents[1] / "src" / "arrowtips" / "_tips.py"
+MODULE = ROOT / "src" / "arrowtips" / "_tips.py"
 
 # The generated functions' parameters, in order.
 PARAMETERS = ("w", "a", "b", "c", "d", "tx", "ty")
@@ -98,9 +99,6 @@ class Sym:
     # width w > 0; anything else cannot be compiled into straight-line code.
     def __gt__(self, other):
         return _sign(self, other) > 0
-
-    def __lt__(self, other):
-        return _sign(self, other) < 0
 
     def __repr__(self) -> str:
         return _code(self, {})
@@ -157,119 +155,18 @@ def _sign(node: Sym, other) -> int:
     raise ValueError(f"the sign of {node!r} depends on the width")
 
 
-@contextmanager
-def symbolic():
-    """Let points and program builders take Sym coordinates while tracing.
-
-    Real coordinates keep ``Point``'s finiteness check and ``_as_scalar``'s
-    float conversion; only Sym values pass through unchecked.
-    """
-    point_check, as_scalar = geometry.Point.__post_init__, pathmodel._as_scalar
-
-    def checked_unless_traced(point) -> None:
-        if not (isinstance(point.x, Sym) or isinstance(point.y, Sym)):
-            point_check(point)
-
-    def scalar_or_traced(value):
-        if isinstance(value, Sym):
-            return Scalar(value)
-        return as_scalar(value)
-
-    geometry.Point.__post_init__ = checked_unless_traced
-    pathmodel._as_scalar = scalar_or_traced
-    try:
-        yield
-    finally:
-        geometry.Point.__post_init__ = point_check
-        pathmodel._as_scalar = as_scalar
-
-
 def trace(definition: TipDefinition):
     """(traced program, traced placed scene) of one catalog entry."""
     w, *placement = (var(name) for name in PARAMETERS)
-    with symbolic():
-        program = definition.program_fn(w)
-        scene = evaluate(transform_program(program, AffineTransform(*placement)), w)
-    return program, scene
+    program = definition.program_fn(w)
+    return program, evaluate(transform_program(program, AffineTransform(*placement)), w)
 
 
 def affine_extents(definition: TipDefinition) -> tuple[tuple[float, float], tuple[float, float]]:
     """((l0, l1), (r0, r1)) of the entry's traced extents, the oracle's row form."""
-    with symbolic():
-        extents = definition.extents_fn(var("w"))
+    extents = definition.extents_fn(var("w"))
     return tuple(tuple(float(c) for c in affine(side))
                  for side in (extents.left, extents.right))
-
-
-# --- simplification ---------------------------------------------------------
-
-def _finite(node: Sym) -> bool:
-    """True where the value is finite for every call.
-
-    ``decorate`` passes a finite w, and a, b, c, d are finite: a rotation's
-    components, or their flip (-a, -b, c, d) for a mirror.  tx and ty may
-    overflow, so they do not count.  A product with a constant of magnitude at
-    most 1, such as a register rescale by 0.8, stays finite.
-    """
-    if node.op == "var":
-        return node.args[0] in ("w", "a", "b", "c", "d")
-    if node.op == "const":
-        return math.isfinite(node.args[0])
-    if node.op == "*":
-        x, y = node.args
-        return any(_finite(p) and k.op == "const" and abs(k.args[0]) <= 1.0
-                   for p, k in ((x, y), (y, x)))
-    return False
-
-
-def _zero(node: Sym) -> bool:
-    """True where the value is +0.0 or -0.0 for every call."""
-    if node.op == "const":
-        return node.args[0] == 0.0
-    if node.op == "*":
-        x, y = node.args
-        return (_zero(x) and _finite(y)) or (_finite(x) and _zero(y))
-    if node.op in ("+", "-"):
-        return _zero(node.args[0]) and _zero(node.args[1])
-    if node.op == "neg":
-        return _zero(node.args[0])
-    return False
-
-
-def _never_minus_zero(node: Sym) -> bool:
-    """True where the value is never -0.0.
-
-    A sum is -0.0 only when both terms are -0.0: x + (-x) rounds to +0.0, and
-    a sum that would underflow is exact, so it cannot round to zero either.
-    """
-    if node.op == "const":
-        value = node.args[0]
-        return not (value == 0.0 and math.copysign(1.0, value) < 0.0)
-    if node.op == "+":
-        return _never_minus_zero(node.args[0]) or _never_minus_zero(node.args[1])
-    return False
-
-
-def _fold(node: Sym) -> Sym:
-    """``node`` with ``(p + z) + q`` written ``p + q`` wherever that keeps the bits.
-
-    The rule applies when z is +0.0 or -0.0 on every call and q is never
-    -0.0.  It drops the register term ``(a * 0.0 + c * 0.0) * register`` of
-    a coordinate with no register-relative part, before the origin offset
-    is added.  Proof: p + (-0.0) is p for every p, and p + (+0.0) is p except
-    that it turns p = -0.0 into +0.0; so p + z and p differ at most in the
-    sign of a zero.  Adding q removes that difference: -0.0 + q and
-    +0.0 + q are both q when q is not zero, and both +0.0 when q is +0.0,
-    the only zero q can be.  An infinite or NaN p is unchanged by z.
-    """
-    if node.op in ("var", "const"):
-        return node
-    args = tuple(_fold(arg) for arg in node.args)
-    if node.op == "+":
-        left, q = args
-        if left.op == "+" and _zero(left.args[1]) and _never_minus_zero(q):
-            return Sym("+", left.args[0], q)
-    return Sym(node.op, *args)
 
 
 # --- code generation --------------------------------------------------------
@@ -331,12 +228,9 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
     """Source of the placed evaluator ``function`` for one catalog entry."""
     program, scene = trace(definition)
     circle_ops = [index for index, op in enumerate(program.ops) if isinstance(op, Circle)]
-    values = {}  # id of a traced value -> its folded tree
     roots = []
     for drawable in scene:
-        for value in (drawable.width, *(v for op in drawable.outline for v in vars(op).values())):
-            values[id(value)] = folded = _fold(value)
-            roots.append(folded)
+        roots += [drawable.width, *(v for op in drawable.outline for v in vars(op).values())]
     names = {}
     lines = [f"def {function}(w, a, b, c, d, tx, ty):",
              f"    # {definition.start_name!r} / {definition.end_name!r}"]
@@ -352,7 +246,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
             if isinstance(op, ClosePath):
                 ops.append("_CLOSE")
                 continue
-            args = [_code(values[id(value)], names) for value in vars(op).values()]
+            args = [_code(value, names) for value in vars(op).values()]
             if isinstance(op, Circle):
                 # evaluate's radius check, kept at run time with its op index
                 radius = f"r{radii}"
@@ -365,7 +259,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
             # one (x, y) pair to a line
             pairs = [", ".join(args[i:i + 2]) for i in range(0, len(args), 2)]
             ops.append(f"{type(op).__name__}(" + ",\n                    ".join(pairs) + ")")
-        width = _code(values[id(drawable.width)], names)
+        width = _code(drawable.width, names)
         outline = "".join(f"\n            {op}," for op in ops)
         drawables.append(f"        Drawable(({outline}\n        ), {width}, "
                          f"{_CAPS[drawable.cap.value]}, {_JOINS[drawable.join.value]}, "
@@ -380,13 +274,12 @@ HEADER = '''\
 GENERATED by scripts/compile_tips.py from catalog.py: do not edit.  After an
 edit to catalog.py, regenerate it with
 
-    PYTHONPATH=src python3 scripts/compile_tips.py
+    python3 scripts/compile_tips.py
 
 ``PLACED`` maps each tip's end name to a function of the stroke width w and a
 rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
 bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
-returns.  w and a, b, c, d must be finite: a rotation from ``attach.placement``
-or, passed by a declared mirror to its original, its reflection (-a, -b, c, d).
+returns, for every w > 0 and every placement.
 """
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,

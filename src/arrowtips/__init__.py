@@ -30,7 +30,7 @@ from .catalog import (
     registry,
     reverse_tip,
 )
-from .geometry import AffineTransform, Point, add, apply, polar
+from .geometry import AffineTransform, Point, apply
 from .pathmodel import (
     Action,
     Drawable,
@@ -72,7 +72,6 @@ __all__ = [
     "TipId",
     "TipSequenceError",
     "UnknownTipError",
-    "add",
     "apply",
     "attach",
     "decorate",
@@ -87,7 +86,6 @@ __all__ = [
     "parse",
     "path_length",
     "placement",
-    "polar",
     "program",
     "registry",
     "render_document",

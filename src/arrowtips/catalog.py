@@ -28,13 +28,13 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .geometry import Point, add, polar
 from .pathmodel import (
     Action,
     ClosePath,
     LineCap,
     LineJoin,
     RenderProgram,
+    Scalar,
     SetCap,
     SetJoin,
     SetLineWidthFactor,
@@ -170,14 +170,15 @@ def _paren_program(w: float) -> RenderProgram:
 # --- open vees and filled/open triangles -------------------------------------
 
 def _vee_arm_ops(apex_x: float, arm_angle: float, arm_reach: float):
-    """Upper arm, apex, lower arm of a symmetric vee opening to the left."""
-    apex = Point(apex_x, 0.0)
-    upper = add(apex, polar(arm_angle, arm_reach))
-    lower = add(apex, polar(-arm_angle, arm_reach))
+    """Upper arm, apex, lower arm of a symmetric vee opening to the left.
+
+    The arms leave the apex at ``arm_angle`` and ``-arm_angle`` degrees.
+    """
+    up, down = math.radians(arm_angle), math.radians(-arm_angle)
     return (
-        move_to(upper.x, upper.y),
-        line_to(apex.x, apex.y),
-        line_to(lower.x, lower.y),
+        move_to(apex_x + arm_reach * math.cos(up), arm_reach * math.sin(up)),
+        line_to(apex_x, 0.0),
+        line_to(apex_x + arm_reach * math.cos(down), arm_reach * math.sin(down)),
     )
 
 
@@ -658,9 +659,18 @@ def extents(tip: TipId, w: float) -> Extents:
 
 
 def program(tip: TipId, w: float) -> RenderProgram:
-    """Render program of ``tip`` at stroke width ``w``, front at the origin."""
+    """Render program of ``tip`` at stroke width ``w``, front at the origin.
+
+    ValueError if a coordinate overflows.
+    """
     _check_width(w)
-    return tip.definition.program_fn(w)
+    p = tip.definition.program_fn(w)
+    for op in p.ops:
+        for value in vars(op).values():
+            if isinstance(value, Scalar) and not (math.isfinite(value.fixed)
+                                                  and math.isfinite(value.widths)):
+                raise ValueError(f"coordinates of tip {tip.name!r} overflow at stroke width {w}")
+    return p
 
 
 def reverse_tip(tip: TipId) -> TipId:

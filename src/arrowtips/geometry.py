@@ -1,8 +1,4 @@
-"""Points and affine maps in a y-up plane measured in pt.
-
-Angles are degrees everywhere; conversion to radians happens only inside
-``polar``.
-"""
+"""Points and affine maps in a y-up plane measured in pt."""
 
 from __future__ import annotations
 
@@ -20,18 +16,6 @@ class Point:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point components must be finite, got ({self.x}, {self.y})")
-
-
-def add(p: Point, q: Point) -> Point:
-    return Point(p.x + q.x, p.y + q.y)
-
-
-def polar(angle: float, radius: float) -> Point:
-    """Point at distance ``radius`` from the origin in direction ``angle`` (degrees)."""
-    if radius < 0:
-        raise ValueError(f"polar radius must be nonnegative, got {radius}")
-    rad = math.radians(angle)
-    return Point(radius * math.cos(rad), radius * math.sin(rad))
 
 
 @dataclass(frozen=True)

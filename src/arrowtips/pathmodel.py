@@ -51,7 +51,7 @@ def wl(factor: float) -> Scalar:
 
 
 def _as_scalar(value: Coord) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(float(value))
+    return value if isinstance(value, Scalar) else Scalar(value)
 
 
 class LineCap(Enum):

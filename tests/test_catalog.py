@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from arrowtips.catalog import (
     reverse_tip,
     start_names,
 )
-from arrowtips.pathmodel import Action, Circle, evaluate
+from arrowtips.pathmodel import Action, Circle, Scalar, evaluate
 
 WIDTHS = (0.4, 0.8, 1.6)
 
@@ -64,6 +66,29 @@ def test_width_must_be_positive():
             extents(tip, w)
         with pytest.raises(ValueError, match="must be positive and finite"):
             program(tip, w)
+
+
+# Finite widths at which some programs, but not all, have a coordinate that
+# overflows to inf (or to nan, where an inf meets its negation).
+OVERFLOW_WIDTHS = (1e300, 1e307, 8e307, 1e308, 1.7e308)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_programs_that_overflow_are_rejected(side):
+    names = start_names() if side is Side.START else end_names()
+    rejected = 0
+    for name in names:
+        tip = lookup(name, side)
+        for w in OVERFLOW_WIDTHS:
+            try:
+                ops = program(tip, w).ops
+            except ValueError as err:
+                assert str(err) == f"coordinates of tip {name!r} overflow at stroke width {w}"
+                rejected += 1
+                continue
+            for value in (v for op in ops for v in vars(op).values() if isinstance(v, Scalar)):
+                assert math.isfinite(value.fixed) and math.isfinite(value.widths), (name, w)
+    assert 0 < rejected < len(names) * len(OVERFLOW_WIDTHS)
 
 
 def test_extents_that_overflow_are_rejected():
@@ -175,16 +200,14 @@ def test_independent_declarations_refuse_reversal(name):
     [("angle 60", lambda w: 0.3 + 0.25 * w), ("triangle 60", lambda w: 0.5 + 0.25 * w)],
 )
 def test_sixty_degree_tips_put_the_apex_at_half_a_unit(name, unit):
-    from arrowtips.geometry import Point, add, polar
-
     tip = lookup(name, Side.END)
     for w in WIDTHS:
         a = unit(w)
         (drawable,) = evaluate(program(tip, w), w)
         upper, apex, lower = drawable.outline[:3]
         assert (apex.x, apex.y) == (0.5 * a, 0.0)
-        want_upper = add(Point(0.5 * a, 0.0), polar(150.0, 9.0 * a))
-        assert (upper.x, upper.y) == (want_upper.x, want_upper.y)
+        arm = math.radians(150.0)
+        assert (upper.x, upper.y) == (0.5 * a + 9.0 * a * math.cos(arm), 9.0 * a * math.sin(arm))
         # the arms are exact mirror images in y
         assert lower.x == upper.x
         assert lower.y == -upper.y

@@ -1,11 +1,20 @@
 """The generator of ``arrowtips._tips``, loaded from scripts/ by path."""
 
 import ast
+import math
 
 import pytest
 
 from arrowtips import _tips
-from arrowtips.catalog import Extents, TipDefinition, declared_reversals, registry
+from arrowtips.catalog import (
+    Extents,
+    Side,
+    TipDefinition,
+    declared_reversals,
+    lookup,
+    program,
+    registry,
+)
 from arrowtips.geometry import AffineTransform
 from arrowtips.pathmodel import (
     Action,
@@ -56,6 +65,43 @@ def test_traced_extents_match_the_oracle_rows_for_every_width(compiler, oracle):
         traced_left, traced_right = compiler.affine_extents(definition)
         for got, want in zip(traced_left + traced_right, left + right):
             assert abs(got - want) <= 1e-12, (end, traced_left, traced_right)
+
+
+# The widths of the attach sweep; each placement below puts an extreme value
+# into one entry of a rotation by (0.6, 0.8), or into all six.
+SWEEP_WIDTHS = (0.4, 0.8, 1.6, 0.37, 2.9, 1e-6, 1e6)
+EXTREMES = (math.inf, -math.inf, math.nan, 1e308, -1e308)
+
+
+def _extreme_placements():
+    rotation = (0.6, 0.8, -0.8, 0.6, 12.5, -3.25)
+    for value in EXTREMES:
+        for i in range(len(rotation)):
+            yield AffineTransform(*rotation[:i], value, *rotation[i + 1:])
+        yield AffineTransform(*(value,) * len(rotation))
+
+
+def _bits(call):
+    """float.hex of everything ``call()`` draws, or (index, message) if it raises."""
+    try:
+        scene = call()
+    except ProgramError as err:
+        return err.index, str(err)
+    return [(d.action, d.cap, d.join, float.hex(d.width),
+             *((type(op).__name__, *map(float.hex, vars(op).values())) for op in d.outline))
+            for d in scene]
+
+
+def test_generated_evaluators_equal_the_interpreter_for_every_placement():
+    placements = list(_extreme_placements())
+    for definition in registry():
+        tip = lookup(definition.end_name, Side.END)
+        placed = _tips.PLACED[definition.end_name]
+        for w in SWEEP_WIDTHS:
+            for t in placements:
+                want = _bits(lambda: evaluate(transform_program(program(tip, w), t), w))
+                got = _bits(lambda: placed(w, t.a, t.b, t.c, t.d, t.tx, t.ty))
+                assert got == want, (definition.end_name, w, t)
 
 
 def _definition(program_fn):

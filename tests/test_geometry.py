@@ -1,16 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from arrowtips.geometry import (
-    AffineTransform,
-    Point,
-    add,
-    apply,
-    polar,
-)
+from arrowtips.geometry import AffineTransform, Point, apply
 
 IDENTITY = AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 MIRROR_X = AffineTransform(-1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -27,41 +19,6 @@ def test_point_is_immutable():
 def test_point_rejects_non_finite(x, y):
     with pytest.raises(ValueError):
         Point(x, y)
-
-
-def test_add():
-    assert add(Point(1.0, 2.0), Point(3.0, -5.0)) == Point(4.0, -3.0)
-
-
-def test_polar_on_axes():
-    assert polar(0.0, 2.0) == Point(2.0, 0.0)
-    p = polar(90.0, 2.0)
-    assert p.x == pytest.approx(0.0, abs=1e-15)
-    assert p.y == 2.0
-    assert polar(180.0, 1.0).x == -1.0
-
-
-def test_polar_zero_radius():
-    assert polar(123.0, 0.0) == Point(0.0, 0.0)
-
-
-def test_polar_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        polar(30.0, -1.0)
-
-
-@given(st.floats(min_value=-360, max_value=360), st.floats(min_value=0, max_value=1e3))
-def test_polar_mirror_symmetry_is_exact(angle, radius):
-    p = polar(angle, radius)
-    q = polar(-angle, radius)
-    assert q.x == p.x
-    assert q.y == -p.y
-
-
-@given(st.floats(min_value=-360, max_value=360))
-def test_polar_radius_scales(angle):
-    p = polar(angle, 1.0)
-    assert math.hypot(p.x, p.y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_identity_and_translation():
