@@ -11,7 +11,6 @@ from .attach import (
     HostPath,
     LineSegment,
     PathTooShortError,
-    attach,
     decorate,
     end_tangent,
     path_length,
@@ -73,7 +72,6 @@ __all__ = [
     "TipSequenceError",
     "UnknownTipError",
     "apply",
-    "attach",
     "decorate",
     "end_tangent",
     "evaluate",

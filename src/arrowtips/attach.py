@@ -393,25 +393,20 @@ def _attach(path: HostPath, side: Side, tip: TipId,
 
 
 def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
-    """Shorten ``path`` for ``tip`` and return it with the placed program."""
+    """``path`` shortened for ``tip``, and the placed program; raises wherever ``decorate`` does."""
     shortened, transform = _attach(path, side, tip, w)
-    return shortened, transform_program(catalog.program(tip, w), transform)
+    _placed_tip(tip, w, transform)
+    return shortened, transform_program(tip.definition.program_fn(w), transform)
 
 
 def _placed_tip(tip: TipId, w: float, t: AffineTransform) -> Scene:
     """``evaluate(transform_program(catalog.program(tip, w), t), w)``, bit for bit.
 
     The generated evaluator of the tip computes it without building either
-    program.  A coordinate that overflows is an error, not a drawing.
+    program.  A drawing that overflows is an error: see ``catalog.check_drawing``.
     """
     scene = PLACED[tip.definition.end_name](w, t.a, t.b, t.c, t.d, t.tx, t.ty)
-    for drawable in scene:
-        for op in drawable.outline:
-            for value in vars(op).values():
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"coordinates of tip {tip.name!r} overflow at stroke width {w}")
-    return scene
+    return catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
 
 
 def path_outline(path: HostPath) -> tuple[PathOp, ...]:
@@ -434,8 +429,7 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     The end tip is attached first, then the start tip against the already
     shortened path.  Scene order: host, start tip drawables, end tip drawables.
     """
-    if not 0 < w < math.inf:
-        raise ValueError(f"stroke width must be positive and finite, got {w}")
+    catalog.check_width(w)
     shortened = path
     start_scene: Scene = ()
     end_scene: Scene = ()

@@ -34,12 +34,13 @@ from .pathmodel import (
     LineCap,
     LineJoin,
     RenderProgram,
-    Scalar,
+    Scene,
     SetCap,
     SetJoin,
     SetLineWidthFactor,
     circle,
     curve_to,
+    evaluate,
     line_to,
     mirror_x,
     move_to,
@@ -107,7 +108,7 @@ class NoReversalError(LookupError):
         super().__init__(f"tip {name!r} has no declared reversed form")
 
 
-def _check_width(w: float) -> None:
+def check_width(w: float) -> None:
     if not 0 < w < math.inf:
         raise ValueError(f"stroke width must be positive and finite, got {w}")
 
@@ -651,7 +652,7 @@ def lookup(name: str, side: Side) -> TipId:
 
 def extents(tip: TipId, w: float) -> Extents:
     """Signed horizontal reach of ``tip`` at stroke width ``w``; ValueError if it overflows."""
-    _check_width(w)
+    check_width(w)
     e = tip.definition.extents_fn(w)
     if not (math.isfinite(e.left) and math.isfinite(e.right)):
         raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
@@ -661,16 +662,32 @@ def extents(tip: TipId, w: float) -> Extents:
 def program(tip: TipId, w: float) -> RenderProgram:
     """Render program of ``tip`` at stroke width ``w``, front at the origin.
 
-    ValueError if a coordinate overflows.
+    ValueError if it overflows: if a coordinate of its evaluation is not finite.
     """
-    _check_width(w)
+    check_width(w)
     p = tip.definition.program_fn(w)
-    for op in p.ops:
-        for value in vars(op).values():
-            if isinstance(value, Scalar) and not (math.isfinite(value.fixed)
-                                                  and math.isfinite(value.widths)):
-                raise ValueError(f"coordinates of tip {tip.name!r} overflow at stroke width {w}")
+    check_drawing(tip, w, evaluate(p, w))
     return p
+
+
+def check_drawing(tip: TipId, w: float, scene: Scene,
+                  origin: "tuple[float, float] | None" = None) -> Scene:
+    """``scene``, a drawing of ``tip`` at stroke width ``w``; ValueError if it overflows.
+
+    A drawing overflows when one of its coordinates is not finite.  For a
+    placed drawing, ``origin`` is where the tip's origin went; the error names
+    it, unless the width alone overflows the tip, when it names the width.
+    """
+    for drawable in scene:
+        for op in drawable.outline:
+            for value in vars(op).values():
+                if not math.isfinite(value):
+                    if origin is not None:
+                        program(tip, w)  # raises first if the tip overflows unplaced
+                    where = (f"at stroke width {w}" if origin is None else
+                             f"when placed at ({origin[0]:g}, {origin[1]:g}) with stroke width {w}")
+                    raise ValueError(f"coordinates of tip {tip.name!r} overflow {where}")
+    return scene
 
 
 def reverse_tip(tip: TipId) -> TipId:

@@ -70,8 +70,7 @@ def parse_path_literal(text: str) -> HostPath:
 
 def _drawable_width(value: float) -> float:
     """``value`` if it is a stroke width the SVG output can show."""
-    if not value > 0:
-        raise ValueError(f"stroke width must be positive, got {value}")
+    catalog.check_width(value)
     if svg.format_number(value) == "0":
         raise ValueError(f"stroke width {value} would be written as 0")
     return value

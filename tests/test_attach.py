@@ -418,6 +418,39 @@ def test_generated_evaluators_match_the_interpreter_to_the_bit(side):
                 assert list(_float_hex(got)) == list(_float_hex(want)), (name, w, t)
 
 
+# Hosts ending at each sweep placement's offset, coming in along its
+# direction, and hosts ending near the top of the float range, where the
+# placement, not the width, makes a tip's coordinates overflow.
+AGREEMENT_HOSTS = [line_host(t.tx - 100.0 * t.a, t.ty - 100.0 * t.b, t.tx, t.ty)
+                   for t in _sweep_placements()] + [
+    line_host(0.0, 1.79e308, 1e308, 1.79e308),
+    line_host(0.0, -1.79e308, 1e308, -1.79e308),
+    line_host(1.79e308, 0.0, 1.79e308, 1e308),
+    line_host(-1e308, 1.7e308, 1e308, 1.7e308),
+]
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_attach_raises_exactly_where_decorate_does(side):
+    names = start_names() if side is Side.START else end_names()
+    for name in names:
+        tip = lookup(name, side)
+        spec = ArrowSpec(**{side.value: name})
+        for host in AGREEMENT_HOSTS:
+            for w in (0.4, 1e306):
+                try:
+                    placed = attach(host, side, tip, w)[1]
+                except ValueError as err:
+                    with pytest.raises(ValueError) as drawn:
+                        decorate(host, spec, w)
+                    assert (type(drawn.value), str(drawn.value)) == (type(err), str(err))
+                    continue
+                decorate(host, spec, w)
+                coordinates = [v for d in evaluate(placed, w) for op in d.outline
+                               for v in vars(op).values()]
+                assert all(map(math.isfinite, coordinates)), (name, host, w)
+
+
 def test_placement_on_straight_host():
     host = line_host()
     place = placement(host, Side.END, 0.6)

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrowtips.attach import CubicSegment, LineSegment
+from arrowtips.catalog import Side, end_names, lookup, program, start_names
 from arrowtips.cli import main, parse_path_literal
 from arrowtips.geometry import Point
 
@@ -94,6 +101,68 @@ def test_render_reports_overflowing_tip_coordinates(tmp_path, capsys, spec, widt
     assert capsys.readouterr().err == (
         f"error: coordinates of tip '{name}' overflow at stroke width {float(width)}\n")
     assert not out.exists()
+
+
+def test_render_names_the_placement_when_only_the_placed_tip_overflows(tmp_path, capsys):
+    # The tip fits the host and its drawing at this width is finite, but
+    # placed at the top of the float range it is not.
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-latex'", "--path", "M 0,1.79e308 L 1e308,1.79e308",
+            "--width", "1e306", "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: coordinates of tip \"latex'\" overflow when placed at (9.82e+307, 1.79e+308) "
+        "with stroke width 1e+306\n")
+    assert not out.exists()
+
+
+# Path literals mixing small coordinates with zeros, the smallest subnormal
+# and coordinates near the top of the float range.  Each pair is one draw
+# from a fixed table, which keeps generation within the test's time budget.
+_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e308, -1.7e308,
+                0.3, -1.0, 2.5, -7.25, 12.5, 30.0, 40.0, -60.0, 70.0, 100.0)
+_pairs = st.sampled_from([f"{x!r},{y!r}" for x in _COORDINATES for y in _COORDINATES])
+_segments = st.one_of(st.builds("L {}".format, _pairs),
+                      st.builds("C {} {} {}".format, _pairs, _pairs, _pairs))
+_path_literals = st.builds(lambda start, rest: " ".join(["M", start, *rest]),
+                           _pairs, st.lists(_segments, min_size=1, max_size=3))
+
+
+def _program_error(name, side, width):
+    """The error line that ``name``'s unplaced program at ``width`` gives, if any."""
+    try:
+        if name is not None:
+            program(lookup(name, side), width)
+    except ValueError as err:
+        return f"error: {err}\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@example(path="M 0,1.79e308 L 1e308,1.79e308", start=None, end="latex'", width=1e306)
+@given(path=_path_literals, start=st.one_of(st.none(), st.sampled_from(start_names())),
+       end=st.one_of(st.none(), st.sampled_from(end_names())),
+       width=st.floats(min_value=1e-5, max_value=1e308))
+def test_render_writes_a_finite_svg_or_one_error_line(path, start, end, width):
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "x.svg"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["render", "--spec", f"{start or ''}-{end or ''}", "--path", path,
+                        "--width", repr(width), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            text = out.read_text(encoding="utf-8")
+            ET.fromstring(text)
+            assert "inf" not in text and "nan" not in text
+        else:
+            assert not out.exists()
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1
+            assert "Traceback" not in message
+            if message.startswith("error: coordinates") and "placed" not in message:
+                # blamed on the width: the tip overflows at it wherever it is placed
+                assert message in {_program_error(start, Side.START, width),
+                                   _program_error(end, Side.END, width)}
 
 
 def test_render_cubic_host(tmp_path):

@@ -8,6 +8,7 @@ own (``.pth`` files of installed packages).
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,10 @@ def test_cli_import_loads_none_of_the_unused_modules():
 def test_a_misspelled_tip_still_gets_close_matches():
     with pytest.raises(UnknownTipError, match="close matches: \"latex'\""):
         lookup("latexx", Side.END)
+
+
+def test_the_attach_submodule_is_not_shadowed_by_its_function():
+    import arrowtips.attach as module
+
+    assert isinstance(module, types.ModuleType)
+    assert hasattr(module, "_GL_NODES")
