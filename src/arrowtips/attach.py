@@ -313,17 +313,23 @@ def end_tangent(path: HostPath, side: Side) -> Point:
 
 
 def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
-    """Remove ``amount`` of arc length from the chosen end."""
+    """Remove ``amount`` of arc length from the chosen end, measuring only the segments it reaches.
+
+    ``PathTooShortError`` if ``amount`` is the whole length or more, or leaves
+    a point; ``ValueError`` if the length of a segment it measures overflows.
+    """
     if amount < 0:
         raise ValueError(f"shortening amount must be nonnegative, got {amount}")
     if amount == 0:
         return path
     segments = list(path.segments)
     remaining = amount
+    index = -1 if side is Side.END else 0
     while segments:
-        index = -1 if side is Side.END else 0
         segment = segments[index]
         length = segment_length(segment)
+        if not math.isfinite(length):
+            raise ValueError("path length overflows")
         if remaining >= length:
             segments.pop(index)
             remaining -= length
@@ -334,13 +340,10 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
                 kept, _ = _split_line(segment, 1.0 - t)
             else:
                 _, kept = _split_line(segment, t)
+        elif side is Side.END:
+            kept, _ = _split_cubic(segment, _param_at_arc_length(segment, length - remaining))
         else:
-            if side is Side.END:
-                t = _param_at_arc_length(segment, length - remaining)
-                kept, _ = _split_cubic(segment, t)
-            else:
-                t = _param_at_arc_length(segment, remaining)
-                _, kept = _split_cubic(segment, t)
+            _, kept = _split_cubic(segment, _param_at_arc_length(segment, remaining))
         segments[index] = kept
         try:
             return HostPath(tuple(segments))
@@ -379,17 +382,13 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
 
 def _attach(path: HostPath, side: Side, tip: TipId,
             w: float) -> tuple[HostPath, AffineTransform]:
-    """The shortened path and the tip's placement."""
+    """The shortened path and the tip's placement; a too-short host's error names the tip."""
     right = catalog.extents(tip, w).right
-    length = path_length(path)
-    if not math.isfinite(length):
-        raise ValueError("path length overflows")
-    if right >= length:
-        raise PathTooShortError(
-            f"tip {tip.name!r} needs {right} of arc length, path has {length}"
-        )
-    transform = placement(path, side, right).transform
-    return shorten(path, side, right), transform
+    try:
+        shortened = shorten(path, side, right)
+    except PathTooShortError as error:
+        raise PathTooShortError(f"tip {tip.name!r}: {error}") from None
+    return shortened, placement(path, side, right).transform
 
 
 def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:

@@ -93,13 +93,20 @@ class TipId:
 
 
 class UnknownTipError(LookupError):
-    def __init__(self, name: str, side: Side, candidates: "list[str] | None" = None) -> None:
+    def __init__(self, name: str, side: Side) -> None:
         self.name = name
         self.side = side
-        message = f"no {side.value} tip named {name!r}"
+        super().__init__(name, side)
+
+    def __str__(self) -> str:
+        import difflib  # only a misspelled name that is shown pays for it
+
+        names = _BY_START if self.side is Side.START else _BY_END
+        candidates = difflib.get_close_matches(self.name, names, n=3, cutoff=0.6)
+        message = f"no {self.side.value} tip named {self.name!r}"
         if candidates:
             message += "; close matches: " + ", ".join(repr(c) for c in candidates)
-        super().__init__(message)
+        return message
 
 
 class NoReversalError(LookupError):
@@ -643,10 +650,7 @@ def lookup(name: str, side: Side) -> TipId:
     table = _BY_START if side is Side.START else _BY_END
     definition = table.get(name)
     if definition is None:
-        import difflib  # only a misspelled name pays for it at start-up
-
-        candidates = difflib.get_close_matches(name, table.keys(), n=3, cutoff=0.6)
-        raise UnknownTipError(name, side, candidates)
+        raise UnknownTipError(name, side)
     return TipId(definition, side)
 
 

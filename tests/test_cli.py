@@ -182,6 +182,26 @@ def test_render_rejects_bad_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_render_suggests_close_matches_for_a_misspelled_spec(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    assert run(["render", "--spec", "-latx'", "--path", CUBIC, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no end tip named \"latx'\"; close matches: \"latex'\"\n")
+
+
+@pytest.mark.parametrize("path, reason", [
+    ("M 0,0 L 1,0", "path is only 1.0 long"),
+    ("M 1000000,0 L 1000002.4,0",
+     "the rest of the 2.400000000023283 long path collapses to a point"),
+], ids=["too-short", "collapse"])
+def test_render_names_the_tip_a_host_is_too_short_for(tmp_path, capsys, path, reason):
+    out = tmp_path / "x.svg"
+    assert run(["render", "--spec", "-latex'", "--path", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: tip \"latex'\": cannot shorten by 2.4000000000000004: {reason}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["-latex'", "-hooks", "-latex' reversed"])
 def test_render_takes_an_end_only_spec_as_a_separate_argument(tmp_path, spec):
     out = tmp_path / "arrow.svg"
@@ -206,6 +226,17 @@ def test_render_rejects_a_path_whose_length_overflows(tmp_path, capsys):
     args = ["render", "--spec", "-latex'", "--path", "M -1e308,0 L 1e308,0", "--out", str(out)]
     assert run(args) == 2
     assert "path length overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_measures_only_the_segment_a_tip_cuts(tmp_path, capsys):
+    # the overflowing first segment is never measured, so only the layout fails
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-latex'", "--path", "M -1e308,0 L 1e308,0 L 1e308,100",
+            "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: the drawing is too large to lay out: its size overflows\n")
     assert not out.exists()
 
 
