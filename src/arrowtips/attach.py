@@ -2,8 +2,9 @@
 
 A host path is a chain of line and cubic segments.  Attaching a tip to one
 end shortens the host by the tip's right extent (measured along arc length)
-and rigidly places the tip program so its front coincides with the original
-endpoint, pointing along the outward end tangent.
+and rigidly places the tip so its front coincides with the original endpoint,
+pointing along the outward end tangent: ``attach`` returns the shortened host
+and the placed drawables.
 
 Cubic arc length is adaptive 16-point Gauss-Legendre quadrature of the speed
 |B'(t)| (Gravesen's subdivision approach).  The parameter interval is first
@@ -41,10 +42,8 @@ from .pathmodel import (
     LineTo,
     MoveTo,
     PathOp,
-    RenderProgram,
     Scene,
     evaluate,  # noqa: F401  not called here; perfbench/tests read attach.evaluate
-    transform_program,
 )
 from .specparser import ArrowSpec
 
@@ -318,7 +317,7 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
     ``PathTooShortError`` if ``amount`` is the whole length or more, or leaves
     a point; ``ValueError`` if the length of a segment it measures overflows.
     """
-    if amount < 0:
+    if not amount >= 0:
         raise ValueError(f"shortening amount must be nonnegative, got {amount}")
     if amount == 0:
         return path
@@ -380,32 +379,22 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
                                      endpoint.y - right_extent * u.y))
 
 
-def _attach(path: HostPath, side: Side, tip: TipId,
-            w: float) -> tuple[HostPath, AffineTransform]:
-    """The shortened path and the tip's placement; a too-short host's error names the tip."""
+def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, Scene]:
+    """``path`` shortened for ``tip``, and the tip's drawables placed on its old end.
+
+    The drawables are ``evaluate(transform_program(catalog.program(tip, w), t), w)``
+    bit for bit, computed by the tip's generated evaluator without building
+    either program.  A too-short host's error names the tip; a drawing that
+    overflows is an error: see ``catalog.check_drawing``.
+    """
     right = catalog.extents(tip, w).right
     try:
         shortened = shorten(path, side, right)
     except PathTooShortError as error:
         raise PathTooShortError(f"tip {tip.name!r}: {error}") from None
-    return shortened, placement(path, side, right).transform
-
-
-def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, RenderProgram]:
-    """``path`` shortened for ``tip``, and the placed program; raises wherever ``decorate`` does."""
-    shortened, transform = _attach(path, side, tip, w)
-    _placed_tip(tip, w, transform)
-    return shortened, transform_program(tip.definition.program_fn(w), transform)
-
-
-def _placed_tip(tip: TipId, w: float, t: AffineTransform) -> Scene:
-    """``evaluate(transform_program(catalog.program(tip, w), t), w)``, bit for bit.
-
-    The generated evaluator of the tip computes it without building either
-    program.  A drawing that overflows is an error: see ``catalog.check_drawing``.
-    """
+    t = placement(path, side, right).transform
     scene = PLACED[tip.definition.end_name](w, t.a, t.b, t.c, t.d, t.tx, t.ty)
-    return catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
+    return shortened, catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
 
 
 def path_outline(path: HostPath) -> tuple[PathOp, ...]:
@@ -433,13 +422,10 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     start_scene: Scene = ()
     end_scene: Scene = ()
     if spec.end is not None:
-        tip = catalog.lookup(spec.end, Side.END)
-        shortened, transform = _attach(shortened, Side.END, tip, w)
-        end_scene = _placed_tip(tip, w, transform)
+        shortened, end_scene = attach(shortened, Side.END, catalog.lookup(spec.end, Side.END), w)
     if spec.start is not None:
-        tip = catalog.lookup(spec.start, Side.START)
-        shortened, transform = _attach(shortened, Side.START, tip, w)
-        start_scene = _placed_tip(tip, w, transform)
+        shortened, start_scene = attach(shortened, Side.START,
+                                        catalog.lookup(spec.start, Side.START), w)
     host = Drawable(
         outline=path_outline(shortened),
         width=w,

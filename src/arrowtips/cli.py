@@ -176,6 +176,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(_attach_spec_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse before 3.13 reads --OPT=-- as []
+            print(f"error: argument --{name}: expected a value, got '--'", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     except OSError as exc:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from arrowtips._tips import PLACED
 from arrowtips.attach import (
     _GL_NODES,
     _GL_WEIGHTS,
-    _placed_tip,
     CubicSegment,
     DegeneratePathError,
     HostPath,
@@ -25,6 +25,7 @@ from arrowtips.attach import (
 from arrowtips.catalog import (
     Side,
     UnknownTipError,
+    check_drawing,
     end_names,
     extents,
     lookup,
@@ -186,16 +187,17 @@ def test_shorten_rejects_a_segment_whose_length_overflows(side):
 
 def test_attach_ignores_an_overflowing_segment_that_no_cut_reaches():
     host = HostPath((*OVERFLOWING.segments, LineSegment(Point(1e308, 0.0), Point(1e308, 100.0))))
-    shortened, placed = attach(host, Side.END, lookup("latex'", Side.END), 0.4)
+    shortened, scene = attach(host, Side.END, lookup("latex'", Side.END), 0.4)
     assert shortened.segments[-1].end == Point(1e308, 97.6)
-    for drawable in evaluate(placed, 0.4):
+    for drawable in scene:
         for op in drawable.outline:
             assert all(math.isfinite(value) for value in vars(op).values())
 
 
 def test_shorten_rejects_negative_amount():
-    with pytest.raises(ValueError):
-        shorten(line_host(), Side.END, -0.1)
+    for amount in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            shorten(line_host(), Side.END, amount)
 
 
 def test_shorten_by_zero_returns_path_unchanged():
@@ -399,8 +401,8 @@ def _float_hex(scene):
 @given(st.one_of(line_hosts, cubic_hosts), maybe_tips, maybe_tips,
        st.floats(min_value=0.1, max_value=3.0))
 def test_decorate_places_each_tip_exactly_as_attach_does(host, start, end, w):
-    # decorate runs the tips' generated evaluators; attach builds the placed
-    # program.  Every coordinate must agree to the bit.
+    # decorate runs the tips' generated evaluators; the reference interprets
+    # each placed program.  Every coordinate must agree to the bit.
     assume(start is not None or end is not None)
     spec = ArrowSpec(start=start and start.start_name, end=end and end.end_name)
     placed = {}
@@ -408,11 +410,13 @@ def test_decorate_places_each_tip_exactly_as_attach_does(host, start, end, w):
     try:
         for side, name in ((Side.END, spec.end), (Side.START, spec.start)):
             if name is not None:
-                rest, placed[side] = attach(rest, side, lookup(name, side), w)
+                tip = lookup(name, side)
+                t = placement(rest, side, extents(tip, w).right).transform
+                rest = attach(rest, side, tip, w)[0]
+                placed[side] = evaluate(transform_program(program(tip, w), t), w)
     except PathTooShortError:
         assume(False)
-    want = [d for side in (Side.START, Side.END) if side in placed
-            for d in evaluate(placed[side], w)]
+    want = [d for side in (Side.START, Side.END) if side in placed for d in placed[side]]
     assert list(_float_hex(decorate(host, spec, w)[1:])) == list(_float_hex(want))
 
 
@@ -443,7 +447,8 @@ def test_generated_evaluators_match_the_interpreter_to_the_bit(side):
         for w in SWEEP_WIDTHS:
             for t in placements:
                 want = evaluate(transform_program(program(tip, w), t), w)
-                got = _placed_tip(tip, w, t)
+                got = check_drawing(tip, w, PLACED[tip.definition.end_name](
+                    w, t.a, t.b, t.c, t.d, t.tx, t.ty), (t.tx, t.ty))
                 assert list(_float_hex(got)) == list(_float_hex(want)), (name, w, t)
 
 
@@ -468,14 +473,14 @@ def test_attach_raises_exactly_where_decorate_does(side):
         for host in AGREEMENT_HOSTS:
             for w in (0.4, 1e306):
                 try:
-                    placed = attach(host, side, tip, w)[1]
+                    scene = attach(host, side, tip, w)[1]
                 except ValueError as err:
                     with pytest.raises(ValueError) as drawn:
                         decorate(host, spec, w)
                     assert (type(drawn.value), str(drawn.value)) == (type(err), str(err))
                     continue
                 decorate(host, spec, w)
-                coordinates = [v for d in evaluate(placed, w) for op in d.outline
+                coordinates = [v for d in scene for op in d.outline
                                for v in vars(op).values()]
                 assert all(map(math.isfinite, coordinates)), (name, host, w)
 
@@ -525,9 +530,8 @@ def test_placement_at_start_points_backward():
 
 def test_attach_shortens_and_places():
     tip = lookup("angle 60", Side.END)
-    shortened, placed = attach(line_host(), Side.END, tip, 0.4)
+    shortened, scene = attach(line_host(), Side.END, tip, 0.4)
     assert shortened.segments[-1].end.x == pytest.approx(99.4, abs=1e-9)
-    scene = evaluate(placed, 0.4)
     assert len(scene) == 1
     xs = [op.x for op in scene[0].outline]
     assert max(xs) <= 100.0 + 1e-9

@@ -317,6 +317,30 @@ def test_infinite_widths_are_rejected_by_the_width_check(tmp_path, capsys, args)
     assert not out.exists()
 
 
+# argparse before 3.13 hands the handler [] for --OPT=--, and the spec word
+# after a separate --spec is joined to it; 3.13 keeps "--", a valid file name.
+@pytest.mark.parametrize("args", [
+    ["render", "--spec=--", "--path=M 0,0 L 100,0", "--out=x.svg"],
+    ["render", "--spec", "--", "--path=M 0,0 L 100,0", "--out=x.svg"],
+    ["render", "--spec=-latex'", "--path=--", "--out=x.svg"],
+    ["render", "--spec=-latex'", "--path=M 0,0 L 100,0", "--width=--", "--out=x.svg"],
+    ["render", "--spec=-latex'", "--path=M 0,0 L 100,0", "--out=--"],
+    ["extents", "--tip=--", "--width=0.4"],
+    ["extents", "--tip=latex'", "--width=--"],
+    ["gallery", "--widths=--", "--out=x.svg"],
+    ["gallery", "--out=--"],
+], ids=" ".join)
+def test_an_option_given_as_double_dash_ends_without_a_traceback(tmp_path, monkeypatch, capsys,
+                                                                 args):
+    monkeypatch.chdir(tmp_path)
+    code = main(args)
+    if "--out=--" in args and code == 0:
+        assert (tmp_path / "--").exists()
+        return
+    assert code == 2
+    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
