@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .pathmodel import Action, Circle, ClosePath, CurveTo, LineTo, MoveTo, PathOp, Scene
+from .pathmodel import (Action, Circle, ClosePath, CurveTo, LineCap, LineJoin, LineTo, MoveTo,
+                        PathOp, Scene)
 
 
 def format_number(value: float) -> str:
     """Four decimal places, trailing zeros trimmed; tiny values become 0."""
+    if not value:
+        return "0"
     text = f"{value:.4f}".rstrip("0").rstrip(".")
     if text == "-0":
         return "0"
@@ -36,7 +39,8 @@ def _escape(text: str) -> str:
 
 _PAINT = "#000"
 _LABEL_OPEN = '<text x="4" y="8" font-family="monospace" font-size="6">'
-_COMMANDS = {MoveTo: "M", LineTo: "L", CurveTo: "C", ClosePath: "Z"}
+_STROKE_STYLE = {(cap, join): f' stroke-linecap="{cap.value}" stroke-linejoin="{join.value}"'
+                 for cap in LineCap for join in LineJoin}
 
 
 def to_path_data(outline: Iterable[PathOp]) -> str:
@@ -47,18 +51,23 @@ def to_path_data(outline: Iterable[PathOp]) -> str:
     fmt = format_number
     parts: list[str] = []
     for op in outline:
-        if isinstance(op, Circle):
+        kind = type(op)
+        if kind is CurveTo:
+            parts.append(f"C {fmt(op.c1x)} {fmt(op.c1y)} {fmt(op.c2x)} {fmt(op.c2y)}"
+                         f" {fmt(op.x)} {fmt(op.y)}")
+        elif kind is LineTo:
+            parts.append(f"L {fmt(op.x)} {fmt(op.y)}")
+        elif kind is MoveTo:
+            parts.append(f"M {fmt(op.x)} {fmt(op.y)}")
+        elif kind is ClosePath:
+            parts.append("Z")
+        elif kind is Circle:
             r = fmt(op.radius)
             east = f"{fmt(op.cx + op.radius)} {fmt(op.cy)}"
             west = f"{fmt(op.cx - op.radius)} {fmt(op.cy)}"
             parts.append(f"M {east} A {r} {r} 0 0 1 {west} A {r} {r} 0 0 1 {east} Z")
         else:
-            command = _COMMANDS.get(type(op))
-            if command is None:
-                raise TypeError(f"not a resolved path op: {op!r}")
-            parts.append(command)
-            for x, y in op.pairs:
-                parts.append(f"{fmt(x)} {fmt(y)}")
+            raise TypeError(f"not a resolved path op: {op!r}")
     return " ".join(parts)
 
 
@@ -70,8 +79,7 @@ def _element(drawable) -> str:
     return (
         f'<path d="{d}" fill="{fill}" stroke="{_PAINT}"'
         f' stroke-width="{format_number(drawable.width)}"'
-        f' stroke-linecap="{drawable.cap.value}"'
-        f' stroke-linejoin="{drawable.join.value}"/>'
+        f'{_STROKE_STYLE[drawable.cap, drawable.join]}/>'
     )
 
 

@@ -1,8 +1,9 @@
+import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowtips.pathmodel import (
@@ -16,6 +17,8 @@ from arrowtips.pathmodel import (
     LineTo,
     MoveTo,
     RenderProgram,
+    SetCap,
+    Translate,
     evaluate,
     move_to,
     wl,
@@ -35,6 +38,13 @@ from arrowtips.svg import format_number, render_document, scene_bounds, to_path_
         (0.12345, "0.1235"),
         (99.4, "99.4"),
         (1234.56789, "1234.5679"),
+        (0, "0"),
+        (False, "0"),
+        (5e-324, "0"),
+        (-5e-324, "0"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
     ],
 )
 def test_format_number(value, expected):
@@ -64,6 +74,78 @@ def test_path_data_circle_is_two_half_arcs():
 def test_path_data_rejects_unresolved_coordinates():
     with pytest.raises(TypeError):
         to_path_data((move_to(wl(1.0), 0.0),))
+
+
+@pytest.mark.parametrize("op", [Translate(1.0, 0.0), SetCap(LineCap.ROUND)])
+def test_path_data_rejects_ops_that_are_not_path_ops(op):
+    with pytest.raises(TypeError, match="not a resolved path op"):
+        to_path_data((op,))
+
+
+def spec_number(value):
+    """The formatting rule: four decimals, trailing zeros and point trimmed, no -0."""
+    text = f"{value:.4f}".rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
+
+
+def spec_tokens(op):
+    """The path data of one op, token by token, written from the SVG rule."""
+    if isinstance(op, Circle):
+        r = spec_number(op.radius)
+        east = [spec_number(op.cx + op.radius), spec_number(op.cy)]
+        west = [spec_number(op.cx - op.radius), spec_number(op.cy)]
+        arc = ["A", r, r, "0", "0", "1"]
+        return ["M", *east, *arc, *west, *arc, *east, "Z"]
+    if isinstance(op, ClosePath):
+        return ["Z"]
+    if isinstance(op, CurveTo):
+        values = (op.c1x, op.c1y, op.c2x, op.c2y, op.x, op.y)
+        return ["C", *map(spec_number, values)]
+    return ["M" if isinstance(op, MoveTo) else "L", spec_number(op.x), spec_number(op.y)]
+
+
+edge_values = (0.0, -0.0, 5e-324, -5e-324, -0.00004, 0.00005, 1e300, 1.7e308)
+coordinates = st.one_of(
+    st.sampled_from(edge_values),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+path_ops = st.one_of(
+    st.builds(MoveTo, coordinates, coordinates),
+    st.builds(LineTo, coordinates, coordinates),
+    st.builds(CurveTo, *[coordinates] * 6),
+    st.just(ClosePath()),
+    st.builds(Circle, coordinates, coordinates, coordinates),
+)
+outlines = st.lists(path_ops, min_size=1, max_size=8).map(tuple)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(outlines)
+def test_path_data_follows_the_formatting_rule(outline):
+    # Command letters in op order, each number token by the rule.
+    tokens = to_path_data(outline).split(" ")
+    assert tokens == [token for op in outline for token in spec_tokens(op)]
+
+
+drawables = st.builds(
+    Drawable,
+    outline=outlines,
+    width=coordinates,
+    cap=st.sampled_from(LineCap),
+    join=st.sampled_from(LineJoin),
+    action=st.sampled_from(Action),
+)
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.lists(st.lists(drawables, min_size=1, max_size=3).map(tuple), min_size=1, max_size=4))
+def test_documents_of_any_outline_parse_as_xml(scenes):
+    text = render_document([(f"s{i}", scene) for i, scene in enumerate(scenes)], columns=3)
+    root = ET.fromstring(text)
+    paths = [path for cell in root for path in cell[1]]
+    flat = [drawable for scene in scenes for drawable in scene]
+    assert [path.get("d") for path in paths] == [to_path_data(d.outline) for d in flat]
 
 
 def stroke_drawable():
@@ -184,6 +266,30 @@ def test_fill_stroke_element_paints_both():
     (path,) = root[0][1]
     assert path.get("fill") == "#000"
     assert path.get("stroke") == "#000"
+
+
+def test_round_fill_stroke_element_text():
+    drawable = Drawable(
+        outline=(MoveTo(0.0, 0.0), LineTo(10.0, -0.0), ClosePath()),
+        width=0.8,
+        cap=LineCap.ROUND,
+        join=LineJoin.ROUND,
+        action=Action.FILL_STROKE,
+    )
+    text = render_document([("x", (drawable,))])
+    assert (
+        '<path d="M 0 0 L 10 0 Z" fill="#000" stroke="#000" stroke-width="0.8"'
+        ' stroke-linecap="round" stroke-linejoin="round"/>'
+    ) in text.splitlines()
+
+
+@pytest.mark.parametrize("cap", LineCap)
+@pytest.mark.parametrize("join", LineJoin)
+def test_every_cap_and_join_is_written_by_value(cap, join):
+    drawable = Drawable((MoveTo(0.0, 0.0), LineTo(1.0, 0.0)), 1.0, cap, join, Action.STROKE)
+    (path,) = ET.fromstring(render_document([("x", (drawable,))]))[0][1]
+    assert path.get("stroke-linecap") == cap.value
+    assert path.get("stroke-linejoin") == join.value
 
 
 def test_attribute_order_is_fixed():
