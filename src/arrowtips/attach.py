@@ -14,20 +14,20 @@ the sum over its two halves differ by at most 1e-12 * (b - a) * L0, where L0
 is the rule over [0, 1], and the halves are kept.  The differences summed
 over all pieces, the error estimate, are therefore at most 1e-12 * L0 plus
 the rounding of the sums; only a piece stopped by the depth cap of 50
-bisections can break that bound.  Cutting at a given arc length inverts the
-table with Newton steps inside one piece and stops once the length to the cut
-is within 1e-12 * L of the wanted one (L the segment's length), so ``shorten``
-removes its amount to within about 2e-12 * L.
+bisections can break that bound.  A cut builds no table: it measures the
+same pieces from its own end, in order, only up to the one that holds the
+cut, and Newton steps inside that piece stop once the length to the cut is
+within 1e-12 * L0 of the wanted one, so ``shorten`` removes its amount to
+within about 2e-12 * L0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 from . import catalog
 from ._tips import PLACED
@@ -126,7 +126,7 @@ _MAX_DEPTH = 50
 # A cubic shorter than this (pt) gets the tolerance of one this long: at
 # subnormal scales the rule's own rounding exceeds 1e-12 of the length.
 _LENGTH_FLOOR = 1e-280
-# Inversion stops once the length to t is within this share of the segment's.
+# Inversion stops once the length to t is within this share of L0, the rule over [0, 1].
 _NEWTON_TOLERANCE = 1e-12
 
 
@@ -173,40 +173,46 @@ def _unit_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     return tuple(t for t in roots if 0.0 < t < 1.0)
 
 
-@dataclass(frozen=True)
-class _ArcTable:
-    """Pieces [breaks[i], breaks[i + 1]] of t and the arc length up to each break."""
+def _pieces(d: tuple[float, ...], whole: float,
+            backward: bool) -> Iterator[tuple[float, float, float]]:
+    """The accepted pieces ``(lo, hi, length)`` of t, lazily, in order of t or from t = 1.
 
-    derivative: tuple[float, ...]
-    breaks: tuple[float, ...]
-    cumulative: tuple[float, ...]
-
-    @property
-    def length(self) -> float:
-        return self.cumulative[-1]
-
-
-def _arc_table(segment: CubicSegment) -> _ArcTable:
-    d = _derivative(segment)
+    ``whole`` is the rule over [0, 1], L0.  Both orders walk the same tree of
+    bisections, so they yield the same pieces.
+    """
     roots = {*_unit_roots(*d[:3]), *_unit_roots(*d[3:])}
     splits = sorted({0.0, 1.0, *roots})
-    whole = _rule(d, 0.0, 1.0)
     tolerance = _PIECE_TOLERANCE * max(whole, _LENGTH_FLOOR)
-    breaks = [0.0]
-    cumulative = [0.0]
-    for lo, hi in zip(splits, splits[1:]):
+    step = -1 if backward else 1
+    for lo, hi in list(zip(splits, splits[1:]))[::step]:
         stack = [(lo, hi, whole if not roots else _rule(d, lo, hi), 0)]
         while stack:
             a, b, coarse, depth = stack.pop()
             mid = 0.5 * (a + b)
             left, right = _rule(d, a, mid), _rule(d, mid, b)
+            halves = ((a, mid, left), (mid, b, right))[::step]
             if abs(left + right - coarse) > tolerance * (b - a) and depth < _MAX_DEPTH:
-                stack.append((mid, b, right, depth + 1))
-                stack.append((a, mid, left, depth + 1))
-                continue
-            breaks += (mid, b)
-            cumulative += (cumulative[-1] + left, cumulative[-1] + left + right)
-    return _ArcTable(d, tuple(breaks), tuple(cumulative))
+                stack += [(*half, depth + 1) for half in reversed(halves)]
+            else:
+                yield from halves
+
+
+@dataclass(frozen=True)
+class _ArcTable:
+    """Pieces [breaks[i], breaks[i + 1]] of t and the segment's arc length."""
+
+    breaks: tuple[float, ...]
+    length: float
+
+
+def _arc_table(segment: CubicSegment) -> _ArcTable:
+    d = _derivative(segment)
+    breaks = [0.0]
+    length = 0.0
+    for _, hi, piece in _pieces(d, _rule(d, 0.0, 1.0), False):
+        breaks.append(hi)
+        length += piece
+    return _ArcTable(tuple(breaks), length)
 
 
 def segment_length(segment: Segment) -> float:
@@ -243,25 +249,35 @@ def _split_cubic(segment: CubicSegment, t: float) -> tuple[CubicSegment, CubicSe
     )
 
 
-def _param_at_arc_length(segment: CubicSegment, target: float) -> float:
-    """t with arc length ``target`` from t = 0, by safeguarded Newton in one piece.
+def _cubic_cut(segment: CubicSegment, remaining: float,
+               backward: bool) -> tuple[float | None, float]:
+    """``(t, length)``: t is ``remaining`` of arc length from the cut end (t = 1 if ``backward``).
 
-    Newton runs on f(t) = rule(piece start, t) - wanted, whose derivative is
-    the speed; a step that leaves the bracket, or a zero speed, bisects.
+    Pieces are measured from the cut end only up to the one that holds t;
+    ``length`` is their sum, and t is None if no piece holds it.  Inside that
+    piece Newton runs on f(t) = rule(piece's low end, t) - wanted, whose
+    derivative is the speed; a step that leaves the bracket, or a zero speed,
+    bisects.
     """
-    table = segment._arc
-    d = table.derivative
-    i = min(bisect_right(table.cumulative, target), len(table.breaks) - 1) - 1
-    lo, hi = table.breaks[i], table.breaks[i + 1]
-    wanted = target - table.cumulative[i]
-    piece = table.cumulative[i + 1] - table.cumulative[i]
-    tolerance = _NEWTON_TOLERANCE * table.length
+    d = _derivative(segment)
+    whole = _rule(d, 0.0, 1.0)
+    if not math.isfinite(whole):
+        raise ValueError("path length overflows")
+    summed = 0.0
+    for lo, hi, piece in _pieces(d, whole, backward):
+        if remaining < summed + piece:
+            break
+        summed += piece
+    else:
+        return None, summed
+    wanted = piece - (remaining - summed) if backward else remaining - summed
+    tolerance = _NEWTON_TOLERANCE * whole
     a, b = lo, hi
     t = lo + (hi - lo) * min(wanted / piece, 1.0) if piece > 0.0 else 0.5 * (lo + hi)
     while True:
         f = _rule(d, lo, t) - wanted
         if abs(f) <= tolerance:
-            return t
+            return t, summed
         if f < 0.0:
             a = t
         else:
@@ -271,7 +287,7 @@ def _param_at_arc_length(segment: CubicSegment, target: float) -> float:
         if not a < step < b:
             step = 0.5 * (a + b)
             if not a < step < b:
-                return step
+                return step, summed
         t = step
 
 
@@ -323,27 +339,26 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
         return path
     segments = list(path.segments)
     remaining = amount
-    index = -1 if side is Side.END else 0
+    backward = side is Side.END
+    index = -1 if backward else 0
     while segments:
         segment = segments[index]
-        length = segment_length(segment)
-        if not math.isfinite(length):
-            raise ValueError("path length overflows")
-        if remaining >= length:
+        if isinstance(segment, CubicSegment):
+            t, length = _cubic_cut(segment, remaining, backward)
+            split = _split_cubic
+        else:
+            length = segment_length(segment)
+            if not math.isfinite(length):
+                raise ValueError("path length overflows")
+            t = None if remaining >= length else remaining / length
+            if t is not None and backward:
+                t = 1.0 - t
+            split = _split_line
+        if t is None:
             segments.pop(index)
             remaining -= length
             continue
-        if isinstance(segment, LineSegment):
-            t = remaining / length
-            if side is Side.END:
-                kept, _ = _split_line(segment, 1.0 - t)
-            else:
-                _, kept = _split_line(segment, t)
-        elif side is Side.END:
-            kept, _ = _split_cubic(segment, _param_at_arc_length(segment, length - remaining))
-        else:
-            _, kept = _split_cubic(segment, _param_at_arc_length(segment, remaining))
-        segments[index] = kept
+        segments[index] = split(segment, t)[0 if backward else 1]
         try:
             return HostPath(tuple(segments))
         except DegeneratePathError:

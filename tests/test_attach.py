@@ -9,6 +9,9 @@ from arrowtips._tips import PLACED
 from arrowtips.attach import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _arc_table,
+    _cubic_cut,
+    _rule,
     CubicSegment,
     DegeneratePathError,
     HostPath,
@@ -20,6 +23,7 @@ from arrowtips.attach import (
     path_length,
     path_outline,
     placement,
+    segment_length,
     shorten,
 )
 from arrowtips.catalog import (
@@ -318,6 +322,70 @@ def test_shortening_to_a_point_is_too_short():
     host = cubic_host((65.0, 65.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
     with pytest.raises(PathTooShortError, match="collapses to a point"):
         shorten(host, Side.END, 0.9999999999999999 * path_length(host))
+
+
+# Each one's rule over [0, 1] is nan: the derivative's coefficients overflow.
+OVERFLOWING_CUBICS = [
+    cubic_host((-8e307, 0.0), (8e307, 8e307), (-8e307, -8e307), (8e307, 0.0)),
+    cubic_host((-1e308, 0.0), (0.0, 1e308), (0.0, -1e308), (1e308, 0.0)),
+]
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+@pytest.mark.parametrize("host", OVERFLOWING_CUBICS, ids=["8e307", "1e308"])
+def test_shorten_rejects_a_cubic_whose_length_overflows(host, side):
+    with pytest.raises(ValueError, match="path length overflows"):
+        shorten(host, side, 1.0)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_a_cut_measures_the_cubic_only_up_to_the_cut(monkeypatch, side):
+    calls = []
+
+    def counted(d, lo, hi):
+        calls.append((lo, hi))
+        return _rule(d, lo, hi)
+
+    segment = CubicSegment(WIGGLE.start, WIGGLE.control1, WIGGLE.control2, WIGGLE.end)
+    monkeypatch.setattr("arrowtips.attach._rule", counted)
+    shorten(HostPath((segment,)), side, 1.0)
+    cut = list(calls)
+    assert "_arc" not in vars(segment)
+    calls.clear()
+    _arc_table(segment)
+    table = set(calls)
+    # WIGGLE's table is 7 calls: [0, 1], its two pieces split at y' = 0, and
+    # their halves.  The cut measures only the pieces on its side ...
+    assert 0 < len([interval for interval in cut if interval in table]) < len(table)
+    # ... and Newton measures from the low end of the one piece holding it.
+    newton = [interval for interval in cut if interval not in table]
+    assert newton and len({lo for lo, _ in newton}) == 1
+
+
+# A cut longer than the 3.44 long cubic drops it, and the line takes the rest.
+SMALL_ARCH = ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.0))
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_a_cut_past_a_cubic_drops_it_and_cuts_the_line_by_the_rest(side):
+    amount = 5.0
+    if side is Side.START:
+        cubic = CubicSegment(*(Point(x, y) for x, y in SMALL_ARCH))
+        line = LineSegment(cubic.end, Point(100.0, 0.0))
+        host = HostPath((cubic, line))
+    else:
+        cubic = CubicSegment(*(Point(97.0 + x, y) for x, y in SMALL_ARCH))
+        line = LineSegment(Point(0.0, 0.0), cubic.start)
+        host = HostPath((line, cubic))
+    t, dropped = _cubic_cut(cubic, amount, side is Side.END)
+    assert t is None
+    if side is Side.START:
+        assert dropped == segment_length(cubic)
+    else:
+        # summed from t = 1, so only the order of the sum differs
+        assert dropped == pytest.approx(segment_length(cubic), rel=1e-15)
+    got = shorten(host, side, amount)
+    assert got.segments == shorten(HostPath((line,)), side, amount - dropped).segments
 
 
 coordinates = st.floats(min_value=-100.0, max_value=100.0)
