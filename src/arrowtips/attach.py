@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
 from . import catalog
+from ._record import Record, store
 from ._tips import PLACED
 from .catalog import Side, TipId
 from .geometry import AffineTransform, Point
@@ -48,18 +48,23 @@ from .pathmodel import (
 from .specparser import ArrowSpec
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    start: Point
-    end: Point
+class LineSegment(Record):
+    __slots__ = __match_args__ = ("start", "end")
+
+    def __init__(self, start: Point, end: Point) -> None:
+        store(self, "start", start)
+        store(self, "end", end)
 
 
-@dataclass(frozen=True)
-class CubicSegment:
-    start: Point
-    control1: Point
-    control2: Point
-    end: Point
+class CubicSegment(Record):
+    __match_args__ = ("start", "control1", "control2", "end")
+    __slots__ = (*__match_args__, "__dict__")  # __dict__ holds the cached _arc
+
+    def __init__(self, start: Point, control1: Point, control2: Point, end: Point) -> None:
+        store(self, "start", start)
+        store(self, "control1", control1)
+        store(self, "control2", control2)
+        store(self, "end", end)
 
     @cached_property
     def _arc(self) -> _ArcTable:
@@ -78,14 +83,13 @@ class PathTooShortError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HostPath:
+class HostPath(Record):
     """One open subpath; consecutive segments share endpoints exactly."""
 
-    segments: tuple[Segment, ...]
+    __slots__ = __match_args__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
+        store(self, "segments", tuple(segments))
         if not self.segments:
             raise ValueError("host path needs at least one segment")
         for i in range(len(self.segments) - 1):
@@ -197,12 +201,10 @@ def _pieces(d: tuple[float, ...], whole: float,
                 yield from halves
 
 
-@dataclass(frozen=True)
-class _ArcTable:
+class _ArcTable(Record):
     """Pieces [breaks[i], breaks[i + 1]] of t and the segment's arc length."""
 
-    breaks: tuple[float, ...]
-    length: float
+    __slots__ = __match_args__ = ("breaks", "length")
 
 
 def _arc_table(segment: CubicSegment) -> _ArcTable:
@@ -371,11 +373,13 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
     )
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """Rigid placement of a tip at a path end."""
 
-    transform: AffineTransform
+    __slots__ = __match_args__ = ("transform",)
+
+    def __init__(self, transform: AffineTransform) -> None:
+        store(self, "transform", transform)
 
 
 def placement(path: HostPath, side: Side, right_extent: float) -> Placement:

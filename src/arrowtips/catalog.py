@@ -23,11 +23,11 @@ linked; ``reverse_tip`` raises for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
 
+from ._record import Record, store
 from .pathmodel import (
     Action,
     ClosePath,
@@ -54,37 +54,39 @@ class Side(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Extents:
+class Extents(Record):
     """Signed horizontal reach of a tip whose front sits at the origin.
 
     ``left`` is where the tip's material starts (nonpositive in practice),
     ``right`` how far it protrudes past the path end.
     """
 
-    left: float
-    right: float
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: float, right: float) -> None:
+        store(self, "left", left)
+        store(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TipDefinition:
+class TipDefinition(Record):
     """One catalog entry.  Identity equality: entries are registry singletons."""
 
-    start_name: str
-    end_name: str
-    extents_fn: Callable[[float], Extents]
-    program_fn: Callable[[float], RenderProgram]
+    __slots__ = __match_args__ = ("start_name", "end_name", "extents_fn", "program_fn")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"<TipDefinition {self.start_name!r}/{self.end_name!r}>"
 
 
-@dataclass(frozen=True)
-class TipId:
+class TipId(Record):
     """A tip selected for one side of a path."""
 
-    definition: TipDefinition
-    side: Side
+    __slots__ = __match_args__ = ("definition", "side")
+
+    def __init__(self, definition: TipDefinition, side: Side) -> None:
+        store(self, "definition", definition)
+        store(self, "side", side)
 
     @property
     def name(self) -> str:

@@ -3,31 +3,40 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record, store
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A position or direction vector with finite components."""
 
-    x: float
-    y: float
+    __slots__ = __match_args__ = ("x", "y")
+    __hash__ = Record.__hash__  # which writing __eq__ below would drop
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point components must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point components must be finite, got ({x}, {y})")
+        store(self, "x", x)
+        store(self, "y", y)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
 
 
-@dataclass(frozen=True)
-class AffineTransform:
+class AffineTransform(Record):
     """Affine map (x, y) -> (a*x + c*y + tx, b*x + d*y + ty)."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    tx: float
-    ty: float
+    __slots__ = __match_args__ = ("a", "b", "c", "d", "tx", "ty")
+
+    def __init__(self, a: float, b: float, c: float, d: float, tx: float, ty: float) -> None:
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "c", c)
+        store(self, "d", d)
+        store(self, "tx", tx)
+        store(self, "ty", ty)
 
 
 def apply(t: AffineTransform, p: Point) -> Point:

@@ -21,15 +21,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Union
 
+from ._record import Record, store
 from .geometry import AffineTransform
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """A length ``fixed + widths * W`` against the line-width register W."""
 
-    fixed: float
-    widths: float = 0.0
+    __slots__ = __match_args__ = ("fixed", "widths")
+
+    def __init__(self, fixed: float, widths: float = 0.0) -> None:
+        store(self, "fixed", fixed)
+        store(self, "widths", widths)
 
     def resolve(self, register: float) -> float:
         return self.fixed + self.widths * register
@@ -135,33 +138,29 @@ class Circle:
         return Circle(*point(self.cx, self.cy), length(self.radius))
 
 
-@dataclass(frozen=True)
-class SetCap:
-    cap: LineCap
+class SetCap(Record):
+    __slots__ = __match_args__ = ("cap",)
 
 
-@dataclass(frozen=True)
-class SetJoin:
-    join: LineJoin
+class SetJoin(Record):
+    __slots__ = __match_args__ = ("join",)
 
 
-@dataclass(frozen=True)
-class SetLineWidthFactor:
+class SetLineWidthFactor(Record):
     """Multiply the line-width register by ``factor``, affecting later ops."""
 
-    factor: float
+    __slots__ = __match_args__ = ("factor",)
 
-    def __post_init__(self) -> None:
-        if not self.factor > 0:
-            raise ValueError(f"width factor must be positive, got {self.factor}")
+    def __init__(self, factor: float) -> None:
+        if not factor > 0:
+            raise ValueError(f"width factor must be positive, got {factor}")
+        store(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(Record):
     """Shift the origin of every later path op by (dx, dy)."""
 
-    dx: Coord
-    dy: Coord
+    __slots__ = __match_args__ = ("dx", "dy")
 
 
 PathOp = Union[MoveTo, LineTo, CurveTo, ClosePath, Circle]
@@ -195,12 +194,11 @@ def translate(dx: Coord, dy: Coord = 0.0) -> Translate:
     return Translate(_as_scalar(dx), _as_scalar(dy))
 
 
-@dataclass(frozen=True)
-class RenderProgram:
-    ops: tuple[Op, ...]
+class RenderProgram(Record):
+    __slots__ = __match_args__ = ("ops",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
+    def __init__(self, ops: Iterable[Op]) -> None:
+        store(self, "ops", tuple(ops))
 
 
 class ProgramError(ValueError):
@@ -212,15 +210,18 @@ class ProgramError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Drawable:
+class Drawable(Record):
     """One emitted path with the graphics state snapshotted at its action."""
 
-    outline: tuple[PathOp, ...]
-    width: float
-    cap: LineCap
-    join: LineJoin
-    action: Action
+    __slots__ = __match_args__ = ("outline", "width", "cap", "join", "action")
+
+    def __init__(self, outline: tuple[PathOp, ...], width: float, cap: LineCap,
+                 join: LineJoin, action: Action) -> None:
+        store(self, "outline", outline)
+        store(self, "width", width)
+        store(self, "cap", cap)
+        store(self, "join", join)
+        store(self, "action", action)
 
 
 Scene = tuple[Drawable, ...]

@@ -7,19 +7,21 @@ prefix is matched first, and any residue is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
+from ._record import Record, store
 from .catalog import Side, UnknownTipError
 
 
-@dataclass(frozen=True)
-class ArrowSpec:
+class ArrowSpec(Record):
     """Validated tip names for the two path ends; None means bare end."""
 
-    start: Optional[str] = None
-    end: Optional[str] = None
+    __slots__ = __match_args__ = ("start", "end")
+
+    def __init__(self, start: Optional[str] = None, end: Optional[str] = None) -> None:
+        store(self, "start", start)
+        store(self, "end", end)
 
 
 class SpecSyntaxError(ValueError):

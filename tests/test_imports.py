@@ -20,14 +20,18 @@ from arrowtips.catalog import Side, UnknownTipError, lookup
 UNUSED = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "difflib")
 
 
-def _loaded_modules(preamble: str) -> set[str]:
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this checkout's arrowtips."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = preamble + "import sys; print(*sys.modules)"
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True)
-    return set(child.stdout.split())
+    return child.stdout
+
+
+def _loaded_modules(preamble: str) -> set[str]:
+    return set(_fresh_stdout(preamble + "import sys; print(*sys.modules)").split())
 
 
 def test_cli_import_loads_none_of_the_unused_modules():
@@ -49,3 +53,14 @@ def test_the_attach_submodule_is_not_shadowed_by_its_function():
 
     assert isinstance(module, types.ModuleType)
     assert hasattr(module, "_GL_NODES")
+
+
+def test_cli_import_creates_only_the_dataclasses_that_must_stay():
+    # A dataclass costs about 0.8 ms to create; runtime records derive from
+    # arrowtips._record.Record instead.  The resolved path ops stay, because
+    # callers read their fields with dataclasses.fields.
+    code = ("import sys, arrowtips.cli; print(*sorted(value.__qualname__"
+            " for name, module in list(sys.modules.items()) if name.startswith('arrowtips')"
+            " for value in vars(module).values() if isinstance(value, type)"
+            " and value.__module__ == name and '__dataclass_fields__' in vars(value)))")
+    assert _fresh_stdout(code).split() == ["Circle", "ClosePath", "CurveTo", "_PointOp"]
