@@ -1,24 +1,26 @@
 """Frozen value records, without ``@dataclass``.
 
 ``@dataclass`` costs about 0.8 ms per class, because it writes the class's
-methods as source and compiles them, and every CLI call is a fresh process
-that pays it again: for the 18 value classes here, about half of
-``import arrowtips.cli``.  So the runtime records derive from ``Record``,
-which gives what ``@dataclass(frozen=True)`` gave: the same constructor
-signature, equality only within one class, a field hash and ``repr``, and
-``FrozenInstanceError`` on assignment.  Classes that check or convert their
-fields, have a default, or that each arrow builds write their own
-``__init__``, since the shared one is about 4x slower and takes no defaults;
-``Point``, which a host path compares, writes its own ``__eq__`` for speed.
+methods as source and compiles them, and ``dataclasses`` loads ``inspect``.
+Every CLI call is a fresh process that pays it again.  So the value classes
+derive from ``Record``, which gives what ``@dataclass(frozen=True)`` gave: the
+same constructor signature, equality only within one class, a field hash and
+``repr``, and ``FrozenInstanceError`` on assignment.  Classes that check or
+convert their fields, have a default, or that each arrow builds write their
+own ``__init__``, since the shared one is about 4x slower and takes no
+defaults; ``Point``, which a host path compares, writes its own ``__eq__`` for
+speed.
 
 The resolved path ops (``MoveTo``, ``LineTo``, ``CurveTo``, ``ClosePath``,
-``Circle``) stay dataclasses, because callers read their fields with
-``dataclasses.fields``.
+``Circle``) keep two reads of their dataclass form that callers use.  Their
+fields live, in order, in an instance ``__dict__``, so ``vars(op)`` lists
+them.  Their base serves ``__dataclass_fields__`` from the dataclass form,
+made on first read, so ``dataclasses.fields(op)`` works.  ``dataclasses`` is
+imported only there and where ``FrozenInstanceError`` is raised, so a CLI
+process does not load it.
 """
 
 from __future__ import annotations
-
-from dataclasses import FrozenInstanceError
 
 # How a record's ``__init__`` stores a field past its own ``__setattr__``.
 store = object.__setattr__
@@ -63,7 +65,11 @@ class Record:
         return self.__class__, self._values()
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")

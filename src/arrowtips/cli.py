@@ -86,8 +86,17 @@ def _full_precision(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+def _gallery_width(part: str) -> float:
+    """One comma-separated part of ``--widths``, as a drawable width."""
+    try:
+        value = float(part)
+    except ValueError:
+        raise ValueError(f"argument --widths: invalid float value: {part!r}") from None
+    return _drawable_width(value)
+
+
 def _cmd_gallery(args: argparse.Namespace) -> int:
-    widths = tuple(_drawable_width(float(part)) for part in args.widths.split(","))
+    widths = tuple(map(_gallery_width, args.widths.split(",")))
     host = HostPath((LineSegment(Point(0.0, 0.0), Point(REFERENCE_SEGMENT_LENGTH, 0.0)),))
     scenes = []
     for definition in catalog.registry():

@@ -17,7 +17,6 @@ applied by one mapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Union
 
@@ -75,12 +74,33 @@ class Action(Enum):
     FILL_STROKE = "fillstroke"
 
 
-@dataclass(frozen=True)
-class _PointOp:
+class _Fields:
+    """``__dataclass_fields__``, for ``dataclasses.fields``: on first read, the
+    field table of the op's frozen dataclass form, then cached on its class."""
+
+    def __get__(self, op: object, cls: type) -> dict:
+        from dataclasses import make_dataclass
+
+        cls.__dataclass_fields__ = make_dataclass(cls.__name__, cls.__match_args__,
+                                                  frozen=True).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+class _PathOp(Record):
+    """A resolved path op.  It keeps an instance ``__dict__``, its fields in
+    order, because callers read them with ``vars(op)``."""
+
+    __dataclass_fields__ = _Fields()
+
+
+class _PointOp(_PathOp):
     """An op with a single point: the end of a move or of a line."""
 
-    x: Coord
-    y: Coord
+    __match_args__ = ("x", "y")
+
+    def __init__(self, x: Coord, y: Coord) -> None:
+        store(self, "x", x)
+        store(self, "y", y)
 
     @property
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
@@ -98,14 +118,17 @@ class LineTo(_PointOp):
     """Straight segment from the current point to (x, y)."""
 
 
-@dataclass(frozen=True)
-class CurveTo:
-    c1x: Coord
-    c1y: Coord
-    c2x: Coord
-    c2y: Coord
-    x: Coord
-    y: Coord
+class CurveTo(_PathOp):
+    __match_args__ = ("c1x", "c1y", "c2x", "c2y", "x", "y")
+
+    def __init__(self, c1x: Coord, c1y: Coord, c2x: Coord, c2y: Coord, x: Coord,
+                 y: Coord) -> None:
+        store(self, "c1x", c1x)
+        store(self, "c1y", c1y)
+        store(self, "c2x", c2x)
+        store(self, "c2y", c2y)
+        store(self, "x", x)
+        store(self, "y", y)
 
     @property
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
@@ -116,8 +139,7 @@ class CurveTo:
                        *point(self.x, self.y))
 
 
-@dataclass(frozen=True)
-class ClosePath:
+class ClosePath(_PathOp):
     @property
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
         return ()
@@ -126,13 +148,15 @@ class ClosePath:
         return self
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(_PathOp):
     """A standalone closed subpath: full circle at (cx, cy)."""
 
-    cx: Coord
-    cy: Coord
-    radius: Coord
+    __match_args__ = ("cx", "cy", "radius")
+
+    def __init__(self, cx: Coord, cy: Coord, radius: Coord) -> None:
+        store(self, "cx", cx)
+        store(self, "cy", cy)
+        store(self, "radius", radius)
 
     def map(self, point: PointMap, length: LengthMap) -> "Circle":
         return Circle(*point(self.cx, self.cy), length(self.radius))
@@ -164,7 +188,6 @@ class Translate(Record):
 
 
 PathOp = Union[MoveTo, LineTo, CurveTo, ClosePath, Circle]
-_PATH_OPS = (MoveTo, LineTo, CurveTo, ClosePath, Circle)
 _OP_NAMES = {LineTo: "line", CurveTo: "curve", ClosePath: "close"}
 StateOp = Union[SetCap, SetJoin, SetLineWidthFactor, Translate]
 Op = Union[PathOp, StateOp, Action]
@@ -236,7 +259,7 @@ def _map(ops: Iterable[Op], point: PointMap, length: LengthMap,
     and actions pass through unchanged.
     """
     for op in ops:
-        if isinstance(op, _PATH_OPS):
+        if isinstance(op, _PathOp):
             yield op.map(point, length)
         elif isinstance(op, Translate):
             yield Translate(*vector(op.dx, op.dy))
@@ -275,7 +298,7 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
     # _map resolves each op only when the loop reaches it, so the maps read
     # the register and origin as the ops before it left them.
     for index, op in enumerate(_map(program.ops, point, length, vector)):
-        if isinstance(op, _PATH_OPS):
+        if isinstance(op, _PathOp):
             if pending_since is None:
                 pending_since = index
             if isinstance(op, MoveTo):

@@ -305,6 +305,17 @@ def test_gallery_rejects_bad_widths(tmp_path):
     assert run(["gallery", "--widths", "abc", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("widths, part", [
+    ("abc", "abc"), ("", ""), ("0.4;0.8", "0.4;0.8"), ("0.4,,0.8", ""), ("0.4, x", " x"),
+])
+def test_gallery_names_the_widths_option_for_a_part_that_is_not_a_number(tmp_path, capsys,
+                                                                         widths, part):
+    out = tmp_path / "x.svg"
+    assert run(["gallery", "--widths", widths, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: argument --widths: invalid float value: {part!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["render", "--spec", "-latex'", "--path", CUBIC, "--width", "inf"],
     ["render", "--spec", "-", "--path", CUBIC, "--width", "inf"],

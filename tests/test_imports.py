@@ -15,9 +15,11 @@ import pytest
 
 from arrowtips.catalog import Side, UnknownTipError, lookup
 
-# The xml.sax.saxutils -> urllib.request chain, and difflib, which only a
-# misspelled tip name needs.
-UNUSED = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "difflib")
+# The xml.sax.saxutils -> urllib.request chain; difflib, which only a
+# misspelled tip name needs; and dataclasses with the inspect it loads, which
+# only a caller of dataclasses.fields on a path op needs.
+UNUSED = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "difflib",
+          "dataclasses", "inspect")
 
 
 def _fresh_stdout(code: str) -> str:
@@ -34,13 +36,32 @@ def _loaded_modules(preamble: str) -> set[str]:
     return set(_fresh_stdout(preamble + "import sys; print(*sys.modules)").split())
 
 
+def _unused(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if any(m == u or m.startswith(u + ".") for u in UNUSED))
+
+
 def test_cli_import_loads_none_of_the_unused_modules():
     bare = _loaded_modules("")
     with_cli = _loaded_modules("import arrowtips.cli; ")
     assert "arrowtips.cli" in with_cli
-    added = with_cli - bare
-    unused = sorted(m for m in added if any(m == u or m.startswith(u + ".") for u in UNUSED))
-    assert unused == []
+    assert _unused(with_cli - bare) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["render", "--spec", "[-latex'", "--path", "M 0,0 C 30,40 70,40 100,0"], 0),
+    (["extents", "--tip", "latex'", "--width", "1"], 0),
+    (["gallery"], 0),
+    (["render", "--spec", "-]", "--path", "M 0,0 L 1e308,0", "--width", "8e307"], 2),
+], ids=["render", "extents", "gallery", "render-overflow"])
+def test_a_cli_run_loads_none_of_the_unused_modules(tmp_path, argv, code):
+    if argv[0] != "extents":
+        argv = [*argv, "--out", str(tmp_path / "out.svg")]
+    # The last line: main's exit code, then every module loaded by the end of the run.
+    lines = _fresh_stdout(f"import sys; from arrowtips.cli import main; "
+                          f"print(main({argv!r}), *sys.modules)").splitlines()
+    status, *loaded = lines[-1].split()
+    assert int(status) == code
+    assert _unused(set(loaded) - _loaded_modules("")) == []
 
 
 def test_a_misspelled_tip_still_gets_close_matches():
@@ -55,12 +76,11 @@ def test_the_attach_submodule_is_not_shadowed_by_its_function():
     assert hasattr(module, "_GL_NODES")
 
 
-def test_cli_import_creates_only_the_dataclasses_that_must_stay():
-    # A dataclass costs about 0.8 ms to create; runtime records derive from
-    # arrowtips._record.Record instead.  The resolved path ops stay, because
-    # callers read their fields with dataclasses.fields.
+def test_cli_import_creates_no_dataclass():
+    # A dataclass costs about 0.8 ms to create; every record derives from
+    # arrowtips._record.Record instead.
     code = ("import sys, arrowtips.cli; print(*sorted(value.__qualname__"
             " for name, module in list(sys.modules.items()) if name.startswith('arrowtips')"
             " for value in vars(module).values() if isinstance(value, type)"
-            " and value.__module__ == name and '__dataclass_fields__' in vars(value)))")
-    assert _fresh_stdout(code).split() == ["Circle", "ClosePath", "CurveTo", "_PointOp"]
+            " and value.__module__ == name and '__dataclass_params__' in vars(value)))")
+    assert _fresh_stdout(code).split() == []

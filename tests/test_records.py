@@ -26,6 +26,9 @@ from arrowtips.catalog import Extents, Side, TipDefinition, TipId, registry
 from arrowtips.geometry import AffineTransform, Point
 from arrowtips.pathmodel import (
     Action,
+    Circle,
+    ClosePath,
+    CurveTo,
     Drawable,
     LineCap,
     LineJoin,
@@ -37,6 +40,8 @@ from arrowtips.pathmodel import (
     SetJoin,
     SetLineWidthFactor,
     Translate,
+    _PathOp,
+    _PointOp,
 )
 from arrowtips.specparser import ArrowSpec
 
@@ -78,8 +83,16 @@ CASES = [
       "action": Action.FILL}),
     (RenderProgram, {"ops": (SetCap(LineCap.ROUND), *OUTLINE, Action.STROKE)},
      {"ops": (*OUTLINE, Action.FILL)}),
+    (MoveTo, {"x": 1.0, "y": -2.0}, {"x": 0.5, "y": 2.0}),
+    (LineTo, {"x": 1.0, "y": -2.0}, {"x": 0.5, "y": 2.0}),
+    (CurveTo, {"c1x": 1.0, "c1y": 2.0, "c2x": 3.0, "c2y": 4.0, "x": 5.0, "y": 6.0},
+     {"c1x": -1.0, "c1y": -2.0, "c2x": -3.0, "c2y": -4.0, "x": -5.0, "y": -6.0}),
+    (ClosePath, {}, {}),
+    (Circle, {"cx": 1.0, "cy": 2.0, "radius": 0.5}, {"cx": -1.0, "cy": 0.0, "radius": 1.5}),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
+# The resolved path ops keep an instance __dict__, which callers read with vars().
+PATH_OPS = {MoveTo, LineTo, CurveTo, ClosePath, Circle}
 # Entries are registry singletons: a definition equals only itself.
 BY_IDENTITY = {TipDefinition}
 
@@ -99,8 +112,17 @@ def case(request):
     return request.param
 
 
+def _package_records(base=Record):
+    """Every record class of the package that derives from ``base``, at any depth."""
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("arrowtips."):
+            yield cls
+            yield from _package_records(cls)
+
+
 def test_the_contract_covers_every_record_class():
-    assert set(Record.__subclasses__()) == {cls for cls, *_ in CASES}
+    # The path ops derive through two bases that no caller builds.
+    assert set(_package_records()) == {cls for cls, *_ in CASES} | {_PathOp, _PointOp}
 
 
 def test_positional_and_keyword_construction_agree(case):
@@ -121,7 +143,7 @@ def test_equality_holds_only_within_the_class(case):
     class Subclass(cls):
         __slots__ = ()
 
-    others = [_dataclass_form(cls, fields), Subclass(**fields), values, values[0]]
+    others = [_dataclass_form(cls, fields), Subclass(**fields), values, *values[:1]]
     for other in others:
         assert not record == other and record != other
         assert not other == record and other != record
@@ -204,7 +226,7 @@ def test_defaults_are_the_dataclass_defaults():
     assert Scalar(1.0) == Scalar(1.0, 0.0) == Scalar(fixed=1.0)
     assert Scalar(1.0).widths == 0.0
     for cls, *_ in CASES:
-        if cls not in (ArrowSpec, Scalar):
+        if cls not in (ArrowSpec, Scalar, ClosePath):  # a close has no field
             with pytest.raises(TypeError):
                 cls()
 
@@ -234,7 +256,19 @@ def test_a_cubic_segment_caches_its_arc_table_outside_its_fields():
 
 def test_records_have_no_instance_dict_but_the_cubic_segment():
     for cls, fields, _ in CASES:
-        assert hasattr(cls(**fields), "__dict__") == (cls is CubicSegment)
+        if cls not in PATH_OPS:
+            assert hasattr(cls(**fields), "__dict__") == (cls is CubicSegment)
+
+
+@pytest.mark.parametrize("cls,fields", [case[:2] for case in CASES if case[0] in PATH_OPS],
+                         ids=[cls.__name__ for cls, *_ in CASES if cls in PATH_OPS])
+def test_a_path_op_gives_its_fields_to_vars_and_dataclasses_fields(cls, fields):
+    op = cls(*fields.values())
+    assert list(vars(op).items()) == list(fields.items())
+    names = [field.name for field in dataclasses.fields(_dataclass_form(cls, fields))]
+    assert [field.name for field in dataclasses.fields(op)] == names == list(fields)
+    assert [field.name for field in dataclasses.fields(cls)] == names
+    assert dataclasses.is_dataclass(op) and dataclasses.astuple(op) == tuple(fields.values())
 
 
 @pytest.mark.parametrize("make,error,message", [
