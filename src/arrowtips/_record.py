@@ -29,9 +29,9 @@ store = object.__setattr__
 class Record:
     """A frozen value whose fields are named, in order, by ``__match_args__``.
 
-    A subclass sets ``__slots__`` (the fields, plus ``"__dict__"`` if it
-    caches) and ``__match_args__``.  It equals only a record of its own class
-    with equal fields.
+    A subclass sets ``__slots__`` and ``__match_args__``, both to its fields;
+    only the resolved path ops set no ``__slots__``, to keep a ``__dict__``.
+    It equals only a record of its own class with equal fields.
     """
 
     __slots__ = ()

@@ -14,18 +14,18 @@ the sum over its two halves differ by at most 1e-12 * (b - a) * L0, where L0
 is the rule over [0, 1], and the halves are kept.  The differences summed
 over all pieces, the error estimate, are therefore at most 1e-12 * L0 plus
 the rounding of the sums; only a piece stopped by the depth cap of 50
-bisections can break that bound.  A cut builds no table: it measures the
-same pieces from its own end, in order, only up to the one that holds the
-cut, and Newton steps inside that piece stop once the length to the cut is
-within 1e-12 * L0 of the wanted one, so ``shorten`` removes its amount to
-within about 2e-12 * L0.
+bisections can break that bound.  A cut measures the same pieces from its
+own end, in order, only up to the one that holds the cut, and Newton steps
+inside that piece stop once the length to the cut is within 1e-12 * L0 of
+the wanted one, so ``shorten`` removes its amount to within about
+2e-12 * L0.  A segment's length is the same walk run to the end: a cut that
+no piece holds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from typing import Iterator, Union
 
 from . import catalog
@@ -57,19 +57,13 @@ class LineSegment(Record):
 
 
 class CubicSegment(Record):
-    __match_args__ = ("start", "control1", "control2", "end")
-    __slots__ = (*__match_args__, "__dict__")  # __dict__ holds the cached _arc
+    __slots__ = __match_args__ = ("start", "control1", "control2", "end")
 
     def __init__(self, start: Point, control1: Point, control2: Point, end: Point) -> None:
         store(self, "start", start)
         store(self, "control1", control1)
         store(self, "control2", control2)
         store(self, "end", end)
-
-    @cached_property
-    def _arc(self) -> _ArcTable:
-        """Adaptive arc-length table, built on first use and kept with the segment."""
-        return _arc_table(self)
 
 
 Segment = Union[LineSegment, CubicSegment]
@@ -201,26 +195,15 @@ def _pieces(d: tuple[float, ...], whole: float,
                 yield from halves
 
 
-class _ArcTable(Record):
-    """Pieces [breaks[i], breaks[i + 1]] of t and the segment's arc length."""
-
-    __slots__ = __match_args__ = ("breaks", "length")
-
-
-def _arc_table(segment: CubicSegment) -> _ArcTable:
-    d = _derivative(segment)
-    breaks = [0.0]
-    length = 0.0
-    for _, hi, piece in _pieces(d, _rule(d, 0.0, 1.0), False):
-        breaks.append(hi)
-        length += piece
-    return _ArcTable(tuple(breaks), length)
-
-
 def segment_length(segment: Segment) -> float:
+    """The arc length of ``segment``; ``ValueError`` if it overflows."""
     if isinstance(segment, LineSegment):
-        return math.hypot(segment.end.x - segment.start.x, segment.end.y - segment.start.y)
-    return segment._arc.length
+        length = math.hypot(segment.end.x - segment.start.x, segment.end.y - segment.start.y)
+    else:
+        length = _cubic_cut(segment, math.inf, False)[1]
+    if not math.isfinite(length):
+        raise ValueError("path length overflows")
+    return length
 
 
 def path_length(path: HostPath) -> float:
@@ -350,8 +333,6 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
             split = _split_cubic
         else:
             length = segment_length(segment)
-            if not math.isfinite(length):
-                raise ValueError("path length overflows")
             t = None if remaining >= length else remaining / length
             if t is not None and backward:
                 t = 1.0 - t

@@ -9,8 +9,9 @@ from arrowtips._tips import PLACED
 from arrowtips.attach import (
     _GL_NODES,
     _GL_WEIGHTS,
-    _arc_table,
     _cubic_cut,
+    _derivative,
+    _pieces,
     _rule,
     CubicSegment,
     DegeneratePathError,
@@ -293,9 +294,14 @@ def test_shortening_the_looping_cubic_removes_the_requested_arc_length(side, amo
     assert path_length(got) == pytest.approx(LOOP_LENGTH - amount, abs=1e-9)
 
 
+def _piece_count(segment):
+    d = _derivative(segment)
+    return len(list(_pieces(d, _rule(d, 0.0, 1.0), False)))
+
+
 def test_near_cusp_cubic_finishes_with_a_bounded_piece_table():
     total = path_length(NEAR_CUSP)
-    assert len(NEAR_CUSP.segments[0]._arc.breaks) <= 300
+    assert _piece_count(NEAR_CUSP.segments[0]) <= 299
     got = shorten(NEAR_CUSP, Side.END, 1.0)
     assert total - path_length(got) == pytest.approx(1.0, abs=1e-9)
 
@@ -315,7 +321,7 @@ def test_subnormal_cubic_is_not_subdivided():
     # the rule's rounding at this scale exceeds 1e-12 of the length
     host = cubic_host((0.0, 0.0), (1e-318, 3e-319), (3e-318, 1e-318), (4e-318, 5e-318))
     assert 0.0 < path_length(host) < 1e-317
-    assert len(host.segments[0]._arc.breaks) == 3  # [0, 1] and its two halves
+    assert _piece_count(host.segments[0]) == 2  # the two halves of [0, 1]
 
 
 def test_shortening_to_a_point_is_too_short():
@@ -338,6 +344,12 @@ def test_shorten_rejects_a_cubic_whose_length_overflows(host, side):
         shorten(host, side, 1.0)
 
 
+@pytest.mark.parametrize("host", [OVERFLOWING, *OVERFLOWING_CUBICS], ids=["line", "8e307", "1e308"])
+def test_path_length_rejects_a_segment_whose_length_overflows(host):
+    with pytest.raises(ValueError, match="path length overflows"):
+        path_length(host)
+
+
 @pytest.mark.parametrize("side", [Side.START, Side.END])
 def test_a_cut_measures_the_cubic_only_up_to_the_cut(monkeypatch, side):
     calls = []
@@ -350,15 +362,14 @@ def test_a_cut_measures_the_cubic_only_up_to_the_cut(monkeypatch, side):
     monkeypatch.setattr("arrowtips.attach._rule", counted)
     shorten(HostPath((segment,)), side, 1.0)
     cut = list(calls)
-    assert "_arc" not in vars(segment)
     calls.clear()
-    _arc_table(segment)
-    table = set(calls)
-    # WIGGLE's table is 7 calls: [0, 1], its two pieces split at y' = 0, and
-    # their halves.  The cut measures only the pieces on its side ...
-    assert 0 < len([interval for interval in cut if interval in table]) < len(table)
+    segment_length(segment)
+    whole = set(calls)
+    # Measuring all of WIGGLE takes 7 calls: [0, 1], its two pieces split at
+    # y' = 0, and their halves.  The cut measures only the pieces on its side ...
+    assert 0 < len([interval for interval in cut if interval in whole]) < len(whole)
     # ... and Newton measures from the low end of the one piece holding it.
-    newton = [interval for interval in cut if interval not in table]
+    newton = [interval for interval in cut if interval not in whole]
     assert newton and len({lo for lo, _ in newton}) == 1
 
 
@@ -612,26 +623,35 @@ def test_attach_needs_room_for_the_tip():
         attach(short, Side.END, tip, 0.4)
 
 
-def _measured(segment):
-    return "_arc" in vars(segment)
+@pytest.fixture
+def measured(monkeypatch):
+    """The cubic segments measured during the test: each measurement starts at ``_derivative``."""
+    seen = []
+
+    def recorded(segment):
+        seen.append(segment)
+        return _derivative(segment)
+
+    monkeypatch.setattr("arrowtips.attach._derivative", recorded)
+    return seen
 
 
-def test_an_end_attach_measures_only_the_segment_it_cuts():
+def test_an_end_attach_measures_only_the_segment_it_cuts(measured):
     first = CubicSegment(Point(0.0, 0.0), Point(10.0, 20.0), Point(30.0, 20.0), Point(40.0, 0.0))
     second = CubicSegment(Point(40.0, 0.0), Point(50.0, -20.0), Point(70.0, -20.0),
                           Point(80.0, 0.0))
     host = HostPath((first, second, LineSegment(Point(80.0, 0.0), Point(100.0, 0.0))))
     attach(host, Side.END, lookup("latex'", Side.END), 0.4)
-    assert not _measured(first) and not _measured(second)
+    assert first not in measured and second not in measured
 
 
-def test_a_start_attach_never_measures_the_piece_an_end_attach_kept():
+def test_a_start_attach_never_measures_the_piece_an_end_attach_kept(measured):
     host = HostPath((WIGGLE, CubicSegment(Point(50.0, 30.0), Point(70.0, 20.0),
                                           Point(90.0, 40.0), Point(100.0, 0.0))))
     after_end, _ = attach(host, Side.END, lookup("latex'", Side.END), 0.4)
     kept = after_end.segments[-1]
     after_start, _ = attach(after_end, Side.START, lookup("latex'", Side.START), 0.4)
-    assert after_start.segments[-1] is kept and not _measured(kept)
+    assert after_start.segments[-1] is kept and WIGGLE in measured and kept not in measured
 
 
 # A host 1.0 long, too short for latex' (right extent 2.4 at w = 0.4), and
