@@ -22,6 +22,19 @@ once per tip: a program that ``evaluate`` would reject raises the same
 ``ProgramError``, with the same op index, here.  Circle radii are still
 checked at run time.
 
+The traced trees also prove that no evaluator overflows inside a box: for
+w and |tx|, |ty| up to ``BOUND`` and |a|, |b|, |c|, |d| up to 2 (the parts of
+a unit tangent, with room for their rounding), ``bound`` pushes an absolute
+bound through every node of every tree.  Each node's bound is its operands'
+bounds combined by the same float op, and rounding to nearest is monotone
+and odd, so it bounds what the evaluator computes, rounding included.  A
+finite bound at every node therefore means a finite coordinate.  A declared
+mirror runs its original's trees at (-a, -b, c, d), inside the same box.
+The script refuses to write a module that the proof does not cover, and the
+module states ``BOUND``, so ``attach`` scans a drawing for overflow only
+outside the box.  The largest bound today is about 1.2e301, far below the
+largest float, 1.8e308.
+
 Usage, from the repository root:
 
     python3 scripts/compile_tips.py   # rewrite the module
@@ -35,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import sys
 import types
 from fractions import Fraction
@@ -59,6 +73,11 @@ MODULE = ROOT / "src" / "arrowtips" / "_tips.py"
 
 # The generated functions' parameters, in order.
 PARAMETERS = ("w", "a", "b", "c", "d", "tx", "ty")
+
+# The proven box: each parameter's largest size.  Not an option: a module
+# that the proof does not cover is never written.
+BOUND = 1e300
+BOX = {"w": BOUND, "a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0, "tx": BOUND, "ty": BOUND}
 
 
 class Sym:
@@ -169,6 +188,37 @@ def affine_extents(definition: TipDefinition) -> tuple[tuple[float, float], tupl
                  for side in (extents.left, extents.right))
 
 
+def bound(node: Sym, bounds: dict) -> float:
+    """An upper bound on |node| over ``BOX``, as floats compute it; ``bounds`` keeps every node's.
+
+    |fl(x + y)| = fl(|x + y|) <= fl(X + Y) for |x| <= X and |y| <= Y, because
+    rounding to nearest is monotone and odd; likewise for ``-`` and ``*``.
+    """
+    known = bounds.get(id(node))
+    if known is not None:
+        return known
+    if node.op == "var":
+        result = BOX[node.args[0]]
+    elif node.op == "const":
+        result = abs(node.args[0])
+    elif node.op == "neg":
+        result = bound(node.args[0], bounds)
+    else:
+        x, y = bound(node.args[0], bounds), bound(node.args[1], bounds)
+        result = x * y if node.op == "*" else x + y
+    bounds[id(node)] = result
+    return result
+
+
+def prove_finite(name: str, roots: list[Sym]) -> None:
+    """ValueError unless every node under ``roots`` has a finite bound over ``BOX``."""
+    bounds: dict = {}
+    for root in roots:
+        bound(root, bounds)
+    if not all(b < math.inf for b in bounds.values()):  # a NaN bound fails too
+        raise ValueError(f"tip {name!r}: a traced value can overflow inside the box {BOX}")
+
+
 # --- code generation --------------------------------------------------------
 
 def _key(node: Sym):
@@ -231,6 +281,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
     roots = []
     for drawable in scene:
         roots += [drawable.width, *(v for op in drawable.outline for v in vars(op).values())]
+    prove_finite(definition.end_name, roots)
     names = {}
     lines = [f"def {function}(w, a, b, c, d, tx, ty):",
              f"    # {definition.start_name!r} / {definition.end_name!r}"]
@@ -268,7 +319,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-HEADER = '''\
+HEADER = f'''\
 """Placed evaluators of the catalog tips.
 
 GENERATED by scripts/compile_tips.py from catalog.py: do not edit.  After an
@@ -280,6 +331,10 @@ edit to catalog.py, regenerate it with
 rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
 bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
 returns, for every w > 0 and every placement.
+
+No coordinate they compute can overflow while w, |tx| and |ty| are at most
+``BOUND`` and |a|, |b|, |c|, |d| at most 2: the script proves it from the
+traced trees and writes no module that the proof does not cover.
 """
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,
@@ -289,6 +344,7 @@ _BUTT, _ROUND_CAP = LineCap.BUTT, LineCap.ROUND
 _MITER, _ROUND_JOIN = LineJoin.MITER, LineJoin.ROUND
 _STROKE, _FILL, _FILL_STROKE = Action.STROKE, Action.FILL, Action.FILL_STROKE
 _CLOSE = ClosePath()
+BOUND = {BOUND!r}
 '''
 
 

@@ -9,6 +9,10 @@ edit to catalog.py, regenerate it with
 rigid placement (a, b, c, d, tx, ty) that returns the tip's placed drawables,
 bit for bit what ``evaluate(transform_program(program(tip, w), placement), w)``
 returns, for every w > 0 and every placement.
+
+No coordinate they compute can overflow while w, |tx| and |ty| are at most
+``BOUND`` and |a|, |b|, |c|, |d| at most 2: the script proves it from the
+traced trees and writes no module that the proof does not cover.
 """
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, Drawable, LineCap, LineJoin, LineTo,
@@ -18,6 +22,7 @@ _BUTT, _ROUND_CAP = LineCap.BUTT, LineCap.ROUND
 _MITER, _ROUND_JOIN = LineJoin.MITER, LineJoin.ROUND
 _STROKE, _FILL, _FILL_STROKE = Action.STROKE, Action.FILL, Action.FILL_STROKE
 _CLOSE = ClosePath()
+BOUND = 1e+300
 
 
 def _tip0(w, a, b, c, d, tx, ty):

@@ -30,7 +30,7 @@ from typing import Iterator, Union
 
 from . import catalog
 from ._record import Record, store
-from ._tips import PLACED
+from ._tips import BOUND, PLACED
 from .catalog import Side, TipId
 from .geometry import AffineTransform, Point
 from .pathmodel import (
@@ -86,11 +86,14 @@ class HostPath(Record):
         store(self, "segments", tuple(segments))
         if not self.segments:
             raise ValueError("host path needs at least one segment")
+        # A cut's kept segment holds the very endpoint it shares, so identity
+        # answers first; equality decides only between distinct points.
         for i in range(len(self.segments) - 1):
-            if self.segments[i].end != self.segments[i + 1].start:
+            end, start = self.segments[i].end, self.segments[i + 1].start
+            if not (end is start or end == start):
                 raise ValueError(f"segments {i} and {i + 1} do not share an endpoint")
         origin = self.segments[0].start
-        if all(p == origin for seg in self.segments for p in _segment_points(seg)):
+        if all(p is origin or p == origin for seg in self.segments for p in _segment_points(seg)):
             raise DegeneratePathError("all path points coincide")
 
 
@@ -207,31 +210,36 @@ def segment_length(segment: Segment) -> float:
 
 
 def path_length(path: HostPath) -> float:
-    return sum(segment_length(seg) for seg in path.segments)
+    """The arc length of ``path``; ``ValueError`` if it or a segment's length overflows."""
+    length = sum(segment_length(seg) for seg in path.segments)
+    if not math.isfinite(length):
+        raise ValueError("path length overflows")
+    return length
 
 
-def _split_line(segment: LineSegment, t: float) -> tuple[LineSegment, LineSegment]:
-    mid = Point(
-        segment.start.x + t * (segment.end.x - segment.start.x),
-        segment.start.y + t * (segment.end.y - segment.start.y),
-    )
-    return LineSegment(segment.start, mid), LineSegment(mid, segment.end)
+def _split_line(segment: LineSegment, t: float, backward: bool) -> LineSegment:
+    """The part of ``segment`` before t if ``backward``, else the part after it."""
+    start, end = segment.start, segment.end
+    mid = Point(start.x + t * (end.x - start.x), start.y + t * (end.y - start.y))
+    return LineSegment(start, mid) if backward else LineSegment(mid, end)
 
 
-def _split_cubic(segment: CubicSegment, t: float) -> tuple[CubicSegment, CubicSegment]:
-    def lerp(p: Point, q: Point) -> Point:
-        return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+def _split_cubic(segment: CubicSegment, t: float, backward: bool) -> CubicSegment:
+    """The part of ``segment`` before t if ``backward``, else the part after it (de Casteljau).
 
-    p01 = lerp(segment.start, segment.control1)
-    p12 = lerp(segment.control1, segment.control2)
-    p23 = lerp(segment.control2, segment.end)
-    p012 = lerp(p01, p12)
-    p123 = lerp(p12, p23)
-    mid = lerp(p012, p123)
-    return (
-        CubicSegment(segment.start, p01, p012, mid),
-        CubicSegment(mid, p123, p23, segment.end),
-    )
+    Only the kept control points become ``Point``s.  Every dropped lerp feeds
+    the shared point ``mid``, so one that overflows still raises there.
+    """
+    p0, p1, p2, p3 = segment.start, segment.control1, segment.control2, segment.end
+    x01, y01 = p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y)
+    x12, y12 = p1.x + t * (p2.x - p1.x), p1.y + t * (p2.y - p1.y)
+    x23, y23 = p2.x + t * (p3.x - p2.x), p2.y + t * (p3.y - p2.y)
+    x012, y012 = x01 + t * (x12 - x01), y01 + t * (y12 - y01)
+    x123, y123 = x12 + t * (x23 - x12), y12 + t * (y23 - y12)
+    mid = Point(x012 + t * (x123 - x012), y012 + t * (y123 - y012))
+    if backward:
+        return CubicSegment(p0, Point(x01, y01), Point(x012, y012), mid)
+    return CubicSegment(mid, Point(x123, y123), Point(x23, y23), p3)
 
 
 def _cubic_cut(segment: CubicSegment, remaining: float,
@@ -341,7 +349,7 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
             segments.pop(index)
             remaining -= length
             continue
-        segments[index] = split(segment, t)[0 if backward else 1]
+        segments[index] = split(segment, t, backward)
         try:
             return HostPath(tuple(segments))
         except DegeneratePathError:
@@ -385,7 +393,9 @@ def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, 
     The drawables are ``evaluate(transform_program(catalog.program(tip, w), t), w)``
     bit for bit, computed by the tip's generated evaluator without building
     either program.  A too-short host's error names the tip; a drawing that
-    overflows is an error: see ``catalog.check_drawing``.
+    overflows is an error: see ``catalog.check_drawing``.  The scan for that
+    runs only when w, |tx| or |ty| exceeds ``_tips.BOUND`` or is NaN: inside
+    that bound, scripts/compile_tips.py proves that no coordinate overflows.
     """
     right = catalog.extents(tip, w).right
     try:
@@ -394,7 +404,11 @@ def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, 
         raise PathTooShortError(f"tip {tip.name!r}: {error}") from None
     t = placement(path, side, right).transform
     scene = PLACED[tip.definition.end_name](w, t.a, t.b, t.c, t.d, t.tx, t.ty)
-    return shortened, catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
+    # a, b, c, d are the parts of a unit tangent, so only w and the shift can
+    # leave the box in which no coordinate can overflow.
+    if not (w <= BOUND and abs(t.tx) <= BOUND and abs(t.ty) <= BOUND):
+        catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
+    return shortened, scene
 
 
 def path_outline(path: HostPath) -> tuple[PathOp, ...]:

@@ -683,6 +683,8 @@ def check_drawing(tip: TipId, w: float, scene: Scene,
     A drawing overflows when one of its coordinates is not finite.  For a
     placed drawing, ``origin`` is where the tip's origin went; the error names
     it, unless the width alone overflows the tip, when it names the width.
+    ``attach`` calls it only outside the box that scripts/compile_tips.py
+    proves safe: w, |tx| or |ty| above ``_tips.BOUND``, or NaN.
     """
     for drawable in scene:
         for op in drawable.outline:

@@ -1,8 +1,9 @@
 """Arrow spec strings: ``"<start tip>-<end tip>"`` with either side optional.
 
 No registered name contains ``-``, so the first ``-`` always separates the
-sides.  Each side must be exactly one registered name; the longest registered
-prefix is matched first, and any residue is an error.
+sides.  Each side must be exactly one registered name, found by one set
+lookup; anything else is matched longest registered prefix first, and any
+residue is an error.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ _LONGEST_FIRST = {
     side: tuple(sorted(names, key=len, reverse=True))
     for side, names in ((Side.START, catalog.start_names()), (Side.END, catalog.end_names()))
 }
+_NAMES = {side: frozenset(names) for side, names in _LONGEST_FIRST.items()}
 
 
 def _match_side(text: str, side: Side) -> Optional[str]:
     if not text:
         return None
+    if text in _NAMES[side]:
+        return text
     names = _LONGEST_FIRST[side]
     for name in names:
         if text.startswith(name):

@@ -13,6 +13,9 @@ from arrowtips.attach import (
     _derivative,
     _pieces,
     _rule,
+    _segment_points,
+    _split_cubic,
+    _split_line,
     CubicSegment,
     DegeneratePathError,
     HostPath,
@@ -344,10 +347,73 @@ def test_shorten_rejects_a_cubic_whose_length_overflows(host, side):
         shorten(host, side, 1.0)
 
 
-@pytest.mark.parametrize("host", [OVERFLOWING, *OVERFLOWING_CUBICS], ids=["line", "8e307", "1e308"])
+# Each segment of the last host is finite in length, but their sum is not.
+@pytest.mark.parametrize("host", [
+    OVERFLOWING, *OVERFLOWING_CUBICS,
+    HostPath((LineSegment(Point(-1e308, 0.0), Point(0.0, 0.0)),
+              LineSegment(Point(0.0, 0.0), Point(1e308, 0.0)))),
+], ids=["line", "8e307", "1e308", "sum"])
 def test_path_length_rejects_a_segment_whose_length_overflows(host):
     with pytest.raises(ValueError, match="path length overflows"):
         path_length(host)
+
+
+def _two_half_split(segment, t):
+    """Both halves of the de Casteljau split at t: the reference for the kept-half split."""
+    def lerp(p, q):
+        return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+    if isinstance(segment, LineSegment):
+        mid = lerp(segment.start, segment.end)
+        return LineSegment(segment.start, mid), LineSegment(mid, segment.end)
+    p01 = lerp(segment.start, segment.control1)
+    p12 = lerp(segment.control1, segment.control2)
+    p23 = lerp(segment.control2, segment.end)
+    p012, p123 = lerp(p01, p12), lerp(p12, p23)
+    mid = lerp(p012, p123)
+    return CubicSegment(segment.start, p01, p012, mid), CubicSegment(mid, p123, p23, segment.end)
+
+
+def _segment_hex(segment):
+    return [type(segment).__name__,
+            *(float.hex(v) for point in _segment_points(segment) for v in (point.x, point.y))]
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_the_kept_half_split_is_the_two_half_split_to_the_bit(side):
+    rng = random.Random(1900 + (side is Side.END))
+    backward = side is Side.END
+    for i in range(3000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        points = [Point(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(4)]
+        t = (0.0, 1.0)[i] if i < 2 else rng.random()
+        for segment, split in ((LineSegment(points[0], points[3]), _split_line),
+                               (CubicSegment(*points), _split_cubic)):
+            want = _two_half_split(segment, t)[0 if backward else 1]
+            got = split(segment, t, backward)
+            assert _segment_hex(got) == _segment_hex(want), (segment, t)
+            # the kept endpoint is the segment's own, so HostPath meets it by identity
+            assert (got.start if backward else got.end) is (segment.start if backward else segment.end)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_a_shift_outside_the_proven_box_is_scanned_at_a_width_inside_it(side):
+    # w = 1e299 lies inside the box; only the shift, at the largest float, does not.
+    top = 1.7976931348623157e308
+    host = line_host(0.0, top, 1e308, top)
+    tip = lookup("[" if side is Side.START else "]", side)
+    with pytest.raises(ValueError, match=r"overflow when placed at \(.*, 1\.79769e\+308\) "
+                                         r"with stroke width 1e\+299"):
+        attach(host, side, tip, 1e299)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_a_dropped_lerp_that_overflows_still_raises(side):
+    # control1 -> control2 overflows; that lerp is dropped on both sides, but
+    # the split point it feeds is kept.
+    segment = CubicSegment(Point(0.0, 0.0), Point(-1e308, 0.0), Point(1.5e308, 0.0), Point(0.0, 0.0))
+    with pytest.raises(ValueError, match="point components must be finite"):
+        _split_cubic(segment, 0.5, side is Side.END)
 
 
 @pytest.mark.parametrize("side", [Side.START, Side.END])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arrowtips import catalog
 from arrowtips.attach import CubicSegment, LineSegment
 from arrowtips.catalog import Side, end_names, lookup, program, start_names
 from arrowtips.cli import main, parse_path_literal
@@ -100,6 +101,40 @@ def test_render_reports_overflowing_tip_coordinates(tmp_path, capsys, spec, widt
     assert run(args) == 2
     assert capsys.readouterr().err == (
         f"error: coordinates of tip '{name}' overflow at stroke width {float(width)}\n")
+    assert not out.exists()
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The stroke widths of the placed drawings ``catalog.check_drawing`` scans, in order.
+
+    A placed drawing's scan is the one ``attach`` makes; an unplaced one comes
+    from ``catalog.program``, which the error path uses to blame the width.
+    """
+    widths = []
+    check = catalog.check_drawing
+
+    def counted(tip, w, scene, origin=None):
+        if origin is not None:
+            widths.append(w)
+        return check(tip, w, scene, origin)
+
+    monkeypatch.setattr(catalog, "check_drawing", counted)
+    return widths
+
+
+def test_the_gallery_scans_no_drawing_for_overflow(tmp_path, scans):
+    # Every gallery width and placement lies inside the proven box.
+    assert run(["gallery", "--out", str(tmp_path / "gallery.svg")]) == 0
+    assert scans == []
+
+
+def test_a_width_outside_the_proven_box_is_scanned(tmp_path, capsys, scans):
+    out = tmp_path / "over.svg"
+    assert run(["render", "--spec", "-]", "--path", "M 0,0 L 1e308,0", "--width", "8e307",
+                "--out", str(out)]) == 2
+    assert scans == [8e307]
+    assert capsys.readouterr().err == "error: coordinates of tip ']' overflow at stroke width 8e+307\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """The generator of ``arrowtips._tips``, loaded from scripts/ by path."""
 
 import ast
+import itertools
 import math
 
 import pytest
@@ -130,6 +131,36 @@ def test_malformed_programs_fail_to_compile_as_the_interpreter_rejects_them(comp
         compiler.compile_tip(_definition(program_fn), "_bad")
     assert (compiled.value.index, str(compiled.value)) == (
         interpreted.value.index, str(interpreted.value))
+
+
+def test_the_module_states_the_proven_bound(compiler):
+    assert _tips.BOUND == compiler.BOUND == 1e300
+    assert compiler.BOX == {"w": 1e300, "a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0,
+                            "tx": 1e300, "ty": 1e300}
+
+
+def test_every_evaluator_is_finite_at_the_corners_of_the_proven_box(compiler):
+    big = compiler.BOUND
+    corners = [(*rotation, *shift) for rotation in itertools.product((-2.0, 2.0), repeat=4)
+               for shift in itertools.product((-big, big), repeat=2)]
+    assert len(corners) == 64
+    for end_name, placed in _tips.PLACED.items():
+        for w in (big, 1e-300):
+            for corner in corners:
+                for drawable in placed(w, *corner):
+                    values = [drawable.width, *(v for op in drawable.outline
+                                                for v in vars(op).values())]
+                    assert all(map(math.isfinite, values)), (end_name, w, corner)
+
+
+def test_the_compiler_refuses_a_tip_that_can_overflow_inside_the_box(compiler):
+    # Finite at every width the tests use, but not at w = 1e300.
+    definition = _definition(lambda w: RenderProgram((
+        move_to(0.0, 0.0), line_to(w * 1e9, 0.0), Action.STROKE)))
+    with pytest.raises(ValueError, match="'bad': a traced value can overflow inside the box"):
+        compiler.compile_tip(definition, "_bad")
+    with pytest.raises(ValueError, match="can overflow"):
+        compiler.module_text([definition])
 
 
 def test_circle_radius_is_still_checked_at_run_time(compiler):
