@@ -280,7 +280,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
     circle_ops = [index for index, op in enumerate(program.ops) if isinstance(op, Circle)]
     roots = []
     for drawable in scene:
-        roots += [drawable.width, *(v for op in drawable.outline for v in vars(op).values())]
+        roots += [drawable.width, *(v for op in drawable.outline for v in op._values())]
     prove_finite(definition.end_name, roots)
     names = {}
     lines = [f"def {function}(w, a, b, c, d, tx, ty):",
@@ -297,7 +297,7 @@ def compile_tip(definition: TipDefinition, function: str) -> str:
             if isinstance(op, ClosePath):
                 ops.append("_CLOSE")
                 continue
-            args = [_code(value, names) for value in vars(op).values()]
+            args = [_code(value, names) for value in op._values()]
             if isinstance(op, Circle):
                 # evaluate's radius check, kept at run time with its op index
                 radius = f"r{radii}"

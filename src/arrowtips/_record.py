@@ -12,12 +12,10 @@ defaults; ``Point``, which a host path compares, writes its own ``__eq__`` for
 speed.
 
 The resolved path ops (``MoveTo``, ``LineTo``, ``CurveTo``, ``ClosePath``,
-``Circle``) keep two reads of their dataclass form that callers use.  Their
-fields live, in order, in an instance ``__dict__``, so ``vars(op)`` lists
-them.  Their base serves ``__dataclass_fields__`` from the dataclass form,
-made on first read, so ``dataclasses.fields(op)`` works.  ``dataclasses`` is
-imported only there and where ``FrozenInstanceError`` is raised, so a CLI
-process does not load it.
+``Circle``) serve ``__dataclass_fields__`` from their dataclass form, made on
+first read, so ``dataclasses.fields(op)`` works.  ``dataclasses`` is imported
+only there and where ``FrozenInstanceError`` is raised, so a CLI process does
+not load it.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ store = object.__setattr__
 class Record:
     """A frozen value whose fields are named, in order, by ``__match_args__``.
 
-    A subclass sets ``__slots__`` and ``__match_args__``, both to its fields;
-    only the resolved path ops set no ``__slots__``, to keep a ``__dict__``.
-    It equals only a record of its own class with equal fields.
+    A subclass names all its fields in ``__match_args__`` and the ones it adds
+    in ``__slots__``, so no record has a ``__dict__``; ``_values()`` reads the
+    fields in order.  It equals only a record of its own class with equal fields.
     """
 
     __slots__ = ()

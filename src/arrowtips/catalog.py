@@ -688,7 +688,7 @@ def check_drawing(tip: TipId, w: float, scene: Scene,
     """
     for drawable in scene:
         for op in drawable.outline:
-            for value in vars(op).values():
+            for value in op._values():
                 if not math.isfinite(value):
                     if origin is not None:
                         program(tip, w)  # raises first if the tip overflows unplaced

@@ -87,16 +87,16 @@ class _Fields:
 
 
 class _PathOp(Record):
-    """A resolved path op.  It keeps an instance ``__dict__``, its fields in
-    order, because callers read them with ``vars(op)``."""
+    """A resolved path op."""
 
+    __slots__ = ()
     __dataclass_fields__ = _Fields()
 
 
 class _PointOp(_PathOp):
     """An op with a single point: the end of a move or of a line."""
 
-    __match_args__ = ("x", "y")
+    __slots__ = __match_args__ = ("x", "y")
 
     def __init__(self, x: Coord, y: Coord) -> None:
         store(self, "x", x)
@@ -113,13 +113,17 @@ class _PointOp(_PathOp):
 class MoveTo(_PointOp):
     """Start a new subpath at (x, y)."""
 
+    __slots__ = ()
+
 
 class LineTo(_PointOp):
     """Straight segment from the current point to (x, y)."""
 
+    __slots__ = ()
+
 
 class CurveTo(_PathOp):
-    __match_args__ = ("c1x", "c1y", "c2x", "c2y", "x", "y")
+    __slots__ = __match_args__ = ("c1x", "c1y", "c2x", "c2y", "x", "y")
 
     def __init__(self, c1x: Coord, c1y: Coord, c2x: Coord, c2y: Coord, x: Coord,
                  y: Coord) -> None:
@@ -140,9 +144,8 @@ class CurveTo(_PathOp):
 
 
 class ClosePath(_PathOp):
-    @property
-    def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
-        return ()
+    __slots__ = ()
+    pairs: tuple[tuple[Coord, Coord], ...] = ()
 
     def map(self, point: PointMap, length: LengthMap) -> "ClosePath":
         return self
@@ -151,7 +154,7 @@ class ClosePath(_PathOp):
 class Circle(_PathOp):
     """A standalone closed subpath: full circle at (cx, cy)."""
 
-    __match_args__ = ("cx", "cy", "radius")
+    __slots__ = __match_args__ = ("cx", "cy", "radius")
 
     def __init__(self, cx: Coord, cy: Coord, radius: Coord) -> None:
         store(self, "cx", cx)

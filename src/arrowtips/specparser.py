@@ -2,8 +2,8 @@
 
 No registered name contains ``-``, so the first ``-`` always separates the
 sides.  Each side must be exactly one registered name, found by one set
-lookup; anything else is matched longest registered prefix first, and any
-residue is an error.
+lookup; for anything else a longest-first prefix scan tells a stack of tips
+(``TipSequenceError``) from an unknown residue (``UnknownTipError``).
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ def _match_side(text: str, side: Side) -> Optional[str]:
     for name in names:
         if text.startswith(name):
             residue = text[len(name):]
-            if not residue:
-                return name
             if any(residue.startswith(other) for other in names):
                 raise TipSequenceError(
                     f"{side.value} side {text!r} stacks several tips; one tip per side"

@@ -106,7 +106,7 @@ def _reach(end):
     host = HostPath((LineSegment(Point(-100.0, 0.0), Point(0.0, 0.0)),
                      LineSegment(Point(0.0, 0.0), end)))
     tip = decorate(host, parse("-latex'"), 0.4)[1:]
-    values = [v for d in tip for op in d.outline for v in vars(op).values()]
+    values = [v for d in tip for op in d.outline for v in op._values()]
     return max(math.hypot(x - end.x, y - end.y) for x, y in zip(values[::2], values[1::2]))
 
 
@@ -199,7 +199,7 @@ def test_attach_ignores_an_overflowing_segment_that_no_cut_reaches():
     assert shortened.segments[-1].end == Point(1e308, 97.6)
     for drawable in scene:
         for op in drawable.outline:
-            assert all(math.isfinite(value) for value in vars(op).values())
+            assert all(math.isfinite(value) for value in op._values())
 
 
 def test_shorten_rejects_negative_amount():
@@ -540,7 +540,7 @@ def _float_hex(scene):
     for drawable in scene:
         yield drawable.action, drawable.cap, drawable.join, float.hex(drawable.width)
         for op in drawable.outline:
-            yield type(op).__name__, *(float.hex(v) for v in vars(op).values())
+            yield type(op).__name__, *(float.hex(v) for v in op._values())
 
 
 @given(st.one_of(line_hosts, cubic_hosts), maybe_tips, maybe_tips,
@@ -626,7 +626,7 @@ def test_attach_raises_exactly_where_decorate_does(side):
                     continue
                 decorate(host, spec, w)
                 coordinates = [v for d in scene for op in d.outline
-                               for v in vars(op).values()]
+                               for v in op._values()]
                 assert all(map(math.isfinite, coordinates)), (name, host, w)
 
 

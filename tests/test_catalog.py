@@ -8,6 +8,7 @@ from arrowtips.catalog import (
     NoReversalError,
     Side,
     UnknownTipError,
+    check_drawing,
     declared_reversals,
     end_names,
     extents,
@@ -17,7 +18,17 @@ from arrowtips.catalog import (
     reverse_tip,
     start_names,
 )
-from arrowtips.pathmodel import Action, Circle, evaluate
+from arrowtips.pathmodel import (
+    Action,
+    Circle,
+    CurveTo,
+    Drawable,
+    LineCap,
+    LineJoin,
+    LineTo,
+    MoveTo,
+    evaluate,
+)
 
 WIDTHS = (0.4, 0.8, 1.6)
 
@@ -88,9 +99,32 @@ def test_programs_that_overflow_are_rejected(side):
                 assert str(err) == f"coordinates of tip {name!r} overflow at stroke width {w}"
                 rejected += 1
                 continue
-            for value in (v for d in scene for op in d.outline for v in vars(op).values()):
+            for value in (v for d in scene for op in d.outline for v in op._values()):
                 assert math.isfinite(value), (name, w)
     assert 0 < rejected < len(names) * len(OVERFLOW_WIDTHS)
+
+
+OP_FIELDS = [(cls, name) for cls in (MoveTo, LineTo, CurveTo, Circle)
+             for name in cls.__match_args__]
+
+
+@pytest.mark.parametrize("cls, name", OP_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in OP_FIELDS])
+def test_check_drawing_scans_every_field_of_a_path_op(cls, name):
+    # one op whose every field is finite but ``name``, in a one-drawable scene
+    def scene(value):
+        op = cls(**{field: value if field == name else 1.0 for field in cls.__match_args__})
+        return (Drawable((op,), 0.4, LineCap.BUTT, LineJoin.MITER, Action.STROKE),)
+
+    tip = lookup("latex'", Side.END)
+    assert check_drawing(tip, 0.4, scene(2.0), origin=(3.0, -4.0)) == scene(2.0)
+    with pytest.raises(ValueError) as err:
+        check_drawing(tip, 0.4, scene(math.inf))
+    assert str(err.value) == "coordinates of tip \"latex'\" overflow at stroke width 0.4"
+    with pytest.raises(ValueError) as err:
+        check_drawing(tip, 0.4, scene(math.inf), origin=(3.0, -4.0))
+    assert str(err.value) == ("coordinates of tip \"latex'\" overflow "
+                              "when placed at (3, -4) with stroke width 0.4")
 
 
 def test_extents_that_overflow_are_rejected():

@@ -89,7 +89,7 @@ def _bits(call):
     except ProgramError as err:
         return err.index, str(err)
     return [(d.action, d.cap, d.join, float.hex(d.width),
-             *((type(op).__name__, *map(float.hex, vars(op).values())) for op in d.outline))
+             *((type(op).__name__, *map(float.hex, op._values())) for op in d.outline))
             for d in scene]
 
 
@@ -149,7 +149,7 @@ def test_every_evaluator_is_finite_at_the_corners_of_the_proven_box(compiler):
             for corner in corners:
                 for drawable in placed(w, *corner):
                     values = [drawable.width, *(v for op in drawable.outline
-                                                for v in vars(op).values())]
+                                                for v in op._values())]
                     assert all(map(math.isfinite, values)), (end_name, w, corner)
 
 

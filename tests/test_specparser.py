@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrowtips import specparser
 from arrowtips.catalog import Side, UnknownTipError, end_names, start_names
 from arrowtips.specparser import (
     ArrowSpec,
@@ -101,17 +100,6 @@ def test_interior_whitespace_is_significant():
 
 def test_format_spec_handles_empty_sides():
     assert format_spec(ArrowSpec(None, None)) == "-"
-
-
-def test_the_longest_first_scan_gives_every_name_the_set_lookup_gives(monkeypatch):
-    # Exact names are answered by the set lookup; with it emptied, the scan
-    # that serves residues and errors must find each name the same way.
-    fast = [(parse(f"{name}-"), parse(f"-{end}")) for name, end in zip(start_names(), end_names())]
-    monkeypatch.setattr(specparser, "_NAMES", {Side.START: frozenset(), Side.END: frozenset()})
-    scanned = [(parse(f"{name}-"), parse(f"-{end}")) for name, end in zip(start_names(), end_names())]
-    assert scanned == fast
-    assert fast == [(ArrowSpec(start=name), ArrowSpec(end=end))
-                    for name, end in zip(start_names(), end_names())]
 
 
 @pytest.mark.parametrize("spec, error, message", [
