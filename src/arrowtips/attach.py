@@ -284,10 +284,6 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
         t = step
 
 
-def _endpoint(path: HostPath, side: Side) -> Point:
-    return path.segments[0].start if side is Side.START else path.segments[-1].end
-
-
 def end_tangent(path: HostPath, side: Side) -> Point:
     """Unit outward tangent at the chosen end.
 
@@ -296,6 +292,11 @@ def end_tangent(path: HostPath, side: Side) -> Point:
     direction toward the nearest distinct control point; a fully coincident
     segment defers to its inward neighbor.
     """
+    return Point(*_tangent(path, side))
+
+
+def _tangent(path: HostPath, side: Side) -> tuple[float, float]:
+    """``end_tangent``'s parts (ux, uy), with no ``Point`` built."""
     if side is Side.END:
         ordered = reversed(path.segments)
     else:
@@ -316,7 +317,7 @@ def end_tangent(path: HostPath, side: Side) -> Point:
                 dx, dy = dx * 2.0 ** 1000, dy * 2.0 ** 1000
                 length = math.hypot(dx, dy)
             if length > 0.0:
-                return Point(dx / length, dy / length)
+                return dx / length, dy / length
     raise DegeneratePathError("path has no direction: all points coincide")
 
 
@@ -379,35 +380,39 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
     original endpoint to machine precision whatever the host curvature.  On a
     straight host the tip origin then lands exactly on the shortened endpoint.
     """
-    u = end_tangent(path, side)
-    endpoint = _endpoint(path, side)
+    return Placement(AffineTransform(*_frame(path, side, right_extent)))
+
+
+def _frame(path: HostPath, side: Side, right_extent: float) -> tuple[float, ...]:
+    """``placement``'s entries (a, b, c, d, tx, ty), with no record built."""
+    ux, uy = _tangent(path, side)
+    end = path.segments[0].start if side is Side.START else path.segments[-1].end
     # The rotation is read off the unit tangent, so axis-aligned tangents give
     # exact entries without trigonometry.
-    return Placement(AffineTransform(u.x, u.y, -u.y, u.x, endpoint.x - right_extent * u.x,
-                                     endpoint.y - right_extent * u.y))
+    return ux, uy, -uy, ux, end.x - right_extent * ux, end.y - right_extent * uy
 
 
 def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, Scene]:
     """``path`` shortened for ``tip``, and the tip's drawables placed on its old end.
 
     The drawables are ``evaluate(transform_program(catalog.program(tip, w), t), w)``
-    bit for bit, computed by the tip's generated evaluator without building
-    either program.  A too-short host's error names the tip; a drawing that
-    overflows is an error: see ``catalog.check_drawing``.  The scan for that
-    runs only when w, |tx| or |ty| exceeds ``_tips.BOUND`` or is NaN: inside
-    that bound, scripts/compile_tips.py proves that no coordinate overflows.
+    for t = ``placement(path, side, right).transform``, bit for bit, from the
+    generated evaluator.  A too-short host's error names the tip; a drawing
+    that overflows is an error (``catalog.check_drawing``), scanned only when
+    w, |tx| or |ty| exceeds ``_tips.BOUND`` or is NaN: inside that bound,
+    scripts/compile_tips.py proves that no coordinate overflows.
     """
     right = catalog.extents(tip, w).right
     try:
         shortened = shorten(path, side, right)
     except PathTooShortError as error:
         raise PathTooShortError(f"tip {tip.name!r}: {error}") from None
-    t = placement(path, side, right).transform
-    scene = PLACED[tip.definition.end_name](w, t.a, t.b, t.c, t.d, t.tx, t.ty)
+    frame = _frame(path, side, right)
+    scene = PLACED[tip.definition.end_name](w, *frame)
     # a, b, c, d are the parts of a unit tangent, so only w and the shift can
     # leave the box in which no coordinate can overflow.
-    if not (w <= BOUND and abs(t.tx) <= BOUND and abs(t.ty) <= BOUND):
-        catalog.check_drawing(tip, w, scene, (t.tx, t.ty))
+    if not (w <= BOUND and abs(frame[4]) <= BOUND and abs(frame[5]) <= BOUND):
+        catalog.check_drawing(tip, w, scene, frame[4:])
     return shortened, scene
 
 

@@ -28,6 +28,7 @@ from functools import partial
 from typing import Callable
 
 from ._record import Record, store
+from ._tips import PLACED
 from .pathmodel import (
     Action,
     ClosePath,
@@ -690,8 +691,9 @@ def check_drawing(tip: TipId, w: float, scene: Scene,
         for op in drawable.outline:
             for value in op._values():
                 if not math.isfinite(value):
-                    if origin is not None:
-                        program(tip, w)  # raises first if the tip overflows unplaced
+                    if origin is not None:  # raises first if the tip overflows unplaced
+                        check_drawing(tip, w, PLACED[tip.definition.end_name](
+                            w, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
                     where = (f"at stroke width {w}" if origin is None else
                              f"when placed at ({origin[0]:g}, {origin[1]:g}) with stroke width {w}")
                     raise ValueError(f"coordinates of tip {tip.name!r} overflow {where}")

@@ -2,7 +2,8 @@
 
 Output is meant to be byte-identical for identical input on any platform:
 fixed attribute order, fixed number formatting (four decimals, trailing zeros
-trimmed, no negative zero), explicit newlines, UTF-8.
+trimmed, no negative zero), explicit newlines, UTF-8.  A document of more
+than one scene formats each distinct number once.
 
 Scene geometry is y-up; each cell wraps its paths in a ``scale(1,-1)`` group
 so the file shows them the way the coordinates mean them.  Labels stay
@@ -11,7 +12,7 @@ outside the flipped group.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .pathmodel import (Action, Circle, ClosePath, CurveTo, LineCap, LineJoin, LineTo, MoveTo,
                         PathOp, Scene)
@@ -43,12 +44,23 @@ _STROKE_STYLE = {(cap, join): f' stroke-linecap="{cap.value}" stroke-linejoin="{
                  for cap in LineCap for join in LineJoin}
 
 
+class _Memo(dict):
+    """``format_number`` of each key, computed once; ``__getitem__`` is the formatter."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = format_number(value)
+        return text
+
+
 def to_path_data(outline: Iterable[PathOp]) -> str:
     """SVG path data for a resolved outline.
 
     Circles become two half-circle arcs so everything stays one path element.
     """
-    fmt = format_number
+    return _path_data(outline, format_number)
+
+
+def _path_data(outline: Iterable[PathOp], fmt: Callable[[float], str]) -> str:
     parts: list[str] = []
     for op in outline:
         kind = type(op)
@@ -71,14 +83,14 @@ def to_path_data(outline: Iterable[PathOp]) -> str:
     return " ".join(parts)
 
 
-def _element(drawable) -> str:
-    d = to_path_data(drawable.outline)
+def _element(drawable, fmt: Callable[[float], str]) -> str:
+    d = _path_data(drawable.outline, fmt)
     if drawable.action is Action.FILL:
         return f'<path d="{d}" fill="{_PAINT}" stroke="none"/>'
     fill = _PAINT if drawable.action is Action.FILL_STROKE else "none"
     return (
         f'<path d="{d}" fill="{fill}" stroke="{_PAINT}"'
-        f' stroke-width="{format_number(drawable.width)}"'
+        f' stroke-width="{fmt(drawable.width)}"'
         f'{_STROKE_STYLE[drawable.cap, drawable.join]}/>'
     )
 
@@ -122,11 +134,12 @@ def render_document(
     """One SVG document laying the labeled scenes out on a fixed grid.
 
     Cell (row, col) sits at (col * cell_width, row * cell_height); inside it
-    the scene's world origin lands at (origin_x, origin_y) with +y up.
+    the scene's world origin lands at (origin_x, origin_y) with +y up.  A
+    document of more than one scene formats each distinct number once.
     """
     if columns < 1:
         raise ValueError(f"columns must be >= 1, got {columns}")
-    fmt = format_number
+    fmt = _Memo().__getitem__ if len(scenes) > 1 else format_number
     rows = (len(scenes) + columns - 1) // columns
     width = fmt(columns * cell_width)
     height = fmt(max(rows, 1) * cell_height)
@@ -144,7 +157,7 @@ def render_document(
         lines.append(f"{_LABEL_OPEN}{_escape(label)}</text>")
         lines.append(scene_open)
         for drawable in scene:
-            lines.append(_element(drawable))
+            lines.append(_element(drawable, fmt))
         lines.append("</g>")
         lines.append("</g>")
     lines.append("</svg>")

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arrowtips._tips import PLACED
 from arrowtips.catalog import (
     NoReversalError,
     Side,
@@ -102,6 +104,33 @@ def test_programs_that_overflow_are_rejected(side):
             for value in (v for d in scene for op in d.outline for v in op._values()):
                 assert math.isfinite(value), (name, w)
     assert 0 < rejected < len(names) * len(OVERFLOW_WIDTHS)
+
+
+# 40 widths from 1e250 up to the largest float, evenly spaced in log.
+IDENTITY_WIDTHS = (*(1e250 * (sys.float_info.max / 1e250) ** (i / 39) for i in range(39)),
+                   sys.float_info.max)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_the_identity_drawing_overflows_exactly_where_the_program_does(side):
+    # check_drawing tells a width overflow from a placement overflow by the
+    # generated drawing under the identity placement; program is the reference.
+    names = start_names() if side is Side.START else end_names()
+    overflows = 0
+    for name in names:
+        tip = lookup(name, side)
+        for w in IDENTITY_WIDTHS:
+            drawing = PLACED[tip.definition.end_name](w, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+            finite = all(math.isfinite(v) for d in drawing for op in d.outline
+                         for v in op._values())
+            try:
+                program(tip, w)
+            except ValueError:
+                overflows += 1
+                assert not finite, (name, w)
+            else:
+                assert finite, (name, w)
+    assert 0 < overflows < len(names) * len(IDENTITY_WIDTHS)
 
 
 OP_FIELDS = [(cls, name) for cls in (MoveTo, LineTo, CurveTo, Circle)

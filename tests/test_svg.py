@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrowtips.pathmodel import (
@@ -138,14 +138,36 @@ drawables = st.builds(
 )
 
 
+def _shared_value_scenes():
+    # A document of several scenes formats each distinct number once.  These
+    # scenes share values across cells, among them values that compare equal
+    # (0.0 and -0.0, 0 and False, 1 and True) and -1.0 and -2.0, which CPython
+    # hashes alike: the memo must key by value.
+    butt, miter = LineCap.BUTT, LineJoin.MITER
+    return [
+        (Drawable((MoveTo(0.0, 1), LineTo(-1.0, -0.00004), Circle(5e-324, True, 1)),
+                  1, butt, miter, Action.STROKE),),
+        (Drawable((MoveTo(-0.0, True), LineTo(-2.0, 5e-324),
+                   CurveTo(False, 0, -1.0, -2.0, 1, -0.00004), ClosePath()),
+                  True, LineCap.ROUND, LineJoin.ROUND, Action.FILL_STROKE),
+         Drawable((MoveTo(-2.0, -1.0), LineTo(0, False)), -2.0, butt, miter, Action.STROKE)),
+        (Drawable((MoveTo(-1.0, -2.0), LineTo(5e-324, -0.0)), -1.0, butt, miter, Action.FILL),
+         Drawable((MoveTo(-0.00004, 1.0), LineTo(True, -1.0)), -0.00004, butt, miter,
+                  Action.STROKE)),
+    ]
+
+
 @settings(derandomize=True, max_examples=50)
 @given(st.lists(st.lists(drawables, min_size=1, max_size=3).map(tuple), min_size=1, max_size=4))
+@example(_shared_value_scenes())
 def test_documents_of_any_outline_parse_as_xml(scenes):
     text = render_document([(f"s{i}", scene) for i, scene in enumerate(scenes)], columns=3)
     root = ET.fromstring(text)
     paths = [path for cell in root for path in cell[1]]
     flat = [drawable for scene in scenes for drawable in scene]
     assert [path.get("d") for path in paths] == [to_path_data(d.outline) for d in flat]
+    assert [path.get("stroke-width") for path in paths] == [
+        None if d.action is Action.FILL else format_number(d.width) for d in flat]
 
 
 def stroke_drawable():
