@@ -290,7 +290,8 @@ def end_tangent(path: HostPath, side: Side) -> Point:
     Points along the path direction at the end side and backward at the start
     side.  A cubic whose endpoint derivative vanishes falls back to the
     direction toward the nearest distinct control point; a fully coincident
-    segment defers to its inward neighbor.
+    segment defers to its inward neighbor.  An end span whose length overflows
+    still gets its exact direction.
     """
     return Point(*_tangent(path, side))
 
@@ -311,7 +312,12 @@ def _tangent(path: HostPath, side: Side) -> tuple[float, float]:
             dx = tip.x - candidate.x
             dy = tip.y - candidate.y
             length = math.hypot(dx, dy)
-            if 0.0 < length < sys.float_info.min:
+            if length == math.inf:
+                # A quarter of each end is exact, and its span's length finite.
+                dx = tip.x * 0.25 - candidate.x * 0.25
+                dy = tip.y * 0.25 - candidate.y * 0.25
+                length = math.hypot(dx, dy)
+            elif 0.0 < length < sys.float_info.min:
                 # A subnormal length has too few bits to divide by; scaling
                 # both parts by a power of two is exact and gives it all 53.
                 dx, dy = dx * 2.0 ** 1000, dy * 2.0 ** 1000

@@ -548,7 +548,6 @@ _fast_cap_reversed_program = _filled_cap(
 
 # --- registry -------------------------------------------------------------------
 
-_REGISTRY: list[TipDefinition] = []
 _BY_START: dict[str, TipDefinition] = {}
 _BY_END: dict[str, TipDefinition] = {}
 _PARTNER: dict[str, str] = {}
@@ -557,7 +556,6 @@ _PARTNER: dict[str, str] = {}
 def _declare(start: str, extents_fn, program_fn, end: str | None = None) -> TipDefinition:
     """Register an entry; its end name is its start name unless given."""
     definition = TipDefinition(start, start if end is None else end, extents_fn, program_fn)
-    _REGISTRY.append(definition)
     _BY_START[definition.start_name] = definition
     _BY_END[definition.end_name] = definition
     return definition
@@ -638,15 +636,15 @@ _declare("fast cap reversed", _fast_cap_extents, _fast_cap_reversed_program)
 
 def registry() -> tuple[TipDefinition, ...]:
     """All catalog entries in declaration order."""
-    return tuple(_REGISTRY)
+    return tuple(_BY_END.values())
 
 
 def start_names() -> tuple[str, ...]:
-    return tuple(d.start_name for d in _REGISTRY)
+    return tuple(_BY_START)
 
 
 def end_names() -> tuple[str, ...]:
-    return tuple(d.end_name for d in _REGISTRY)
+    return tuple(_BY_END)
 
 
 def lookup(name: str, side: Side) -> TipId:

@@ -10,15 +10,17 @@ be rescaled mid-program, which changes what later register-relative coordinates
 resolve to.  Evaluating a program yields drawables whose outlines contain plain
 float coordinates only.
 
-Each path op rebuilds itself from its coordinate pairs put through a point
-map.  Evaluation, mirroring and rigid placement are three choices of that map,
-applied by one mapper.
+Evaluation, mirroring and rigid placement each rebuild a path op from its
+coordinate pairs put through a point map (a circle's radius through a length
+map).  ``evaluate`` does so for each op as its loop reaches it, so the map
+reads the register and origin that the earlier ops left; the mirrors and
+``transform_program`` map a whole program at once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from ._record import Record, store
 from .geometry import AffineTransform
@@ -106,9 +108,6 @@ class _PointOp(_PathOp):
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
         return ((self.x, self.y),)
 
-    def map(self, point: PointMap, length: LengthMap) -> "_PointOp":
-        return type(self)(*point(self.x, self.y))
-
 
 class MoveTo(_PointOp):
     """Start a new subpath at (x, y)."""
@@ -138,17 +137,10 @@ class CurveTo(_PathOp):
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
         return ((self.c1x, self.c1y), (self.c2x, self.c2y), (self.x, self.y))
 
-    def map(self, point: PointMap, length: LengthMap) -> "CurveTo":
-        return CurveTo(*point(self.c1x, self.c1y), *point(self.c2x, self.c2y),
-                       *point(self.x, self.y))
-
 
 class ClosePath(_PathOp):
     __slots__ = ()
     pairs: tuple[tuple[Coord, Coord], ...] = ()
-
-    def map(self, point: PointMap, length: LengthMap) -> "ClosePath":
-        return self
 
 
 class Circle(_PathOp):
@@ -160,9 +152,6 @@ class Circle(_PathOp):
         store(self, "cx", cx)
         store(self, "cy", cy)
         store(self, "radius", radius)
-
-    def map(self, point: PointMap, length: LengthMap) -> "Circle":
-        return Circle(*point(self.cx, self.cy), length(self.radius))
 
 
 class SetCap(Record):
@@ -253,21 +242,26 @@ class Drawable(Record):
 Scene = tuple[Drawable, ...]
 
 
-def _map(ops: Iterable[Op], point: PointMap, length: LengthMap,
-         vector: PointMap) -> Iterator[Op]:
-    """Each op with its coordinates mapped, produced only when asked for.
+def _rebuilt(op: PathOp, point: PointMap, length: LengthMap) -> PathOp:
+    """``op`` rebuilt from its pairs put through ``point``; a circle's centre
+    goes through ``point`` and its radius through ``length``."""
+    if isinstance(op, Circle):
+        return Circle(*point(op.cx, op.cy), length(op.radius))
+    return type(op)(*[v for pair in op.pairs for v in point(*pair)])
 
-    Path-op points go through ``point`` and circle radii through ``length``.
+
+def _map(program: RenderProgram, point: PointMap, length: LengthMap,
+         vector: PointMap) -> RenderProgram:
+    """``program`` with its path ops rebuilt through ``point`` and ``length``.
+
     A translation is a displacement, so it goes through ``vector``.  State ops
     and actions pass through unchanged.
     """
-    for op in ops:
-        if isinstance(op, _PathOp):
-            yield op.map(point, length)
-        elif isinstance(op, Translate):
-            yield Translate(*vector(op.dx, op.dy))
-        else:
-            yield op
+    return RenderProgram(
+        _rebuilt(op, point, length) if isinstance(op, _PathOp)
+        else Translate(*vector(op.dx, op.dy)) if isinstance(op, Translate)
+        else op
+        for op in program.ops)
 
 
 def evaluate(program: RenderProgram, host_width: float) -> Scene:
@@ -292,16 +286,12 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
     def length(v: Coord) -> float:
         return v.resolve(register) if isinstance(v, Scalar) else float(v)
 
-    def vector(x: Coord, y: Coord) -> tuple[float, float]:
-        return length(x), length(y)
-
     def point(x: Coord, y: Coord) -> tuple[float, float]:
         return length(x) + offx, length(y) + offy
 
-    # _map resolves each op only when the loop reaches it, so the maps read
-    # the register and origin as the ops before it left them.
-    for index, op in enumerate(_map(program.ops, point, length, vector)):
+    for index, op in enumerate(program.ops):
         if isinstance(op, _PathOp):
+            op = _rebuilt(op, point, length)
             if pending_since is None:
                 pending_since = index
             if isinstance(op, MoveTo):
@@ -321,8 +311,8 @@ def evaluate(program: RenderProgram, host_width: float) -> Scene:
         elif isinstance(op, SetLineWidthFactor):
             register *= op.factor
         elif isinstance(op, Translate):
-            offx += op.dx
-            offy += op.dy
+            offx += length(op.dx)
+            offy += length(op.dy)
         elif isinstance(op, Action):
             if not outline:
                 raise ProgramError(index, "action with no path to draw")
@@ -357,12 +347,12 @@ def mirror_x(program: RenderProgram) -> RenderProgram:
 
     Translation displacements flip too, so later geometry stays mirrored.
     """
-    return RenderProgram(tuple(_map(program.ops, _flip_x, _keep, _flip_x)))
+    return _map(program, _flip_x, _keep, _flip_x)
 
 
 def mirror_y(program: RenderProgram) -> RenderProgram:
     """Reflect across the x axis (negate every y coordinate)."""
-    return RenderProgram(tuple(_map(program.ops, _flip_y, _keep, _flip_y)))
+    return _map(program, _flip_y, _keep, _flip_y)
 
 
 def transform_program(program: RenderProgram, t: AffineTransform) -> RenderProgram:
@@ -381,10 +371,7 @@ def transform_program(program: RenderProgram, t: AffineTransform) -> RenderProgr
         )
 
     def point(x: Coord, y: Coord) -> tuple[Scalar, Scalar]:
-        x, y = _as_scalar(x), _as_scalar(y)
-        return (
-            Scalar(a * x.fixed + c * y.fixed + tx, a * x.widths + c * y.widths),
-            Scalar(b * x.fixed + d * y.fixed + ty, b * x.widths + d * y.widths),
-        )
+        x, y = vector(x, y)
+        return Scalar(x.fixed + tx, x.widths), Scalar(y.fixed + ty, y.widths)
 
-    return RenderProgram(tuple(_map(program.ops, point, _as_scalar, vector)))
+    return _map(program, point, _as_scalar, vector)

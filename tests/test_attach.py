@@ -101,6 +101,32 @@ def test_tangent_of_a_subnormal_segment_has_unit_length(side):
         assert (u.x > 0.0, u.y > 0.0) == (sign * dx > 0.0, sign * dy > 0.0)
 
 
+OVERFLOWING_SPANS = [((0.0, 0.0), (1.5e308, 1.5e308)), ((-1e308, 0.0), (1e308, 0.0))]
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+@pytest.mark.parametrize("ends", OVERFLOWING_SPANS, ids=["diagonal", "axis"])
+def test_an_end_span_whose_length_overflows_keeps_its_exact_direction(ends, side):
+    (x0, y0), (x1, y1) = ends
+    host = HostPath((LineSegment(Point(x0, y0), Point(x1, y1)),))
+    # a quarter of the host is exact and its length is finite
+    quarter = HostPath((LineSegment(Point(x0 / 4, y0 / 4), Point(x1 / 4, y1 / 4)),))
+    assert end_tangent(host, side) == end_tangent(quarter, side)
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+@pytest.mark.parametrize("ends", OVERFLOWING_SPANS, ids=["diagonal", "axis"])
+def test_a_tip_too_small_to_cut_leaves_an_overflowing_host_unmeasured(ends, side):
+    host = HostPath((LineSegment(Point(*ends[0]), Point(*ends[1])),))
+    shortened, scene = attach(host, side, lookup("serif cm", side), 5e-324)
+    assert shortened is host
+    for drawable in scene:
+        for op in drawable.outline:
+            assert all(math.isfinite(value) for value in op._values())
+    t = placement(host, side, 0.0).transform
+    assert abs(math.hypot(t.a, t.b) - 1.0) <= math.ulp(1.0)
+
+
 def _reach(end):
     """Farthest coordinate of a ``-latex'`` tip from the end of its host."""
     host = HostPath((LineSegment(Point(-100.0, 0.0), Point(0.0, 0.0)),

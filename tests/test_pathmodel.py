@@ -112,21 +112,38 @@ def test_translate_shifts_only_later_ops():
     assert first.outline[0].x == 0.0
     assert second.outline[0].x == 10.0
     assert second.outline[1].x == 11.0
-
-
-def test_translate_accumulates():
+    # within one path, the op right after a translation reads the new origin
+    # and the op before it does not
     program = RenderProgram(
         (
-            translate(wl(1.0), 0.0),
-            translate(2.0, 3.0),
             move_to(0.0, 0.0),
-            line_to(1.0, 1.0),
+            translate(10.0, 0.0),
+            line_to(1.0, 0.0),
             Action.STROKE,
         )
     )
-    (drawable,) = evaluate(program, 0.5)
-    assert drawable.outline[0].x == 2.5
-    assert drawable.outline[0].y == 3.0
+    (drawable,) = evaluate(program, 1.0)
+    m, l = drawable.outline
+    assert (m.x.hex(), l.x.hex()) == ((0.0).hex(), (11.0).hex())
+
+
+def test_translate_accumulates():
+    # the second program's translation reads the register as the rescale
+    # left it: wl(1.0) is 1.0 at w = 2, not 2.0
+    for rescale, width, x in [((), 0.5, 2.5), ((SetLineWidthFactor(0.5),), 2.0, 3.0)]:
+        program = RenderProgram(
+            (
+                *rescale,
+                translate(wl(1.0), 0.0),
+                translate(2.0, 3.0),
+                move_to(0.0, 0.0),
+                line_to(1.0, 1.0),
+                Action.STROKE,
+            )
+        )
+        (drawable,) = evaluate(program, width)
+        assert drawable.outline[0].x.hex() == x.hex()
+        assert drawable.outline[0].y.hex() == (3.0).hex()
 
 
 def test_cap_and_join_persist_across_actions():
