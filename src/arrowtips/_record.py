@@ -5,10 +5,13 @@ methods as source and compiles them, and ``dataclasses`` loads ``inspect``.
 Every CLI call is a fresh process that pays it again.  So the value classes
 derive from ``Record``, which gives what ``@dataclass(frozen=True)`` gave: the
 same constructor signature, equality only within one class, a field hash and
-``repr``, and ``FrozenInstanceError`` on assignment.  Classes that check or
-convert their fields, have a default, or that each arrow builds write their
-own ``__init__``, since the shared one is about 4x slower and takes no
-defaults; ``Point``, which a host path compares, writes its own ``__eq__`` for
+``repr``, and ``FrozenInstanceError`` on assignment.  The shared constructor
+takes no defaults and costs about 1.2 us more per build than a hand-written
+one, so a class writes its own ``__init__`` only if it checks, converts or
+defaults a field (``Point``, ``HostPath``, ``RenderProgram``,
+``SetLineWidthFactor``, ``Scalar``, ``ArrowSpec``), or if a benchmark op
+builds it about once per arrow or more; ``tests/test_records.py`` counts the
+builds.  ``Point``, which a host path compares, writes its own ``__eq__`` for
 speed.
 
 The resolved path ops (``MoveTo``, ``LineTo``, ``CurveTo``, ``ClosePath``,

@@ -374,9 +374,6 @@ class Placement(Record):
 
     __slots__ = __match_args__ = ("transform",)
 
-    def __init__(self, transform: AffineTransform) -> None:
-        store(self, "transform", transform)
-
 
 def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
     """Transform putting a tip's front exactly on the end of ``path``.

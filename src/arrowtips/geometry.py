@@ -30,14 +30,6 @@ class AffineTransform(Record):
 
     __slots__ = __match_args__ = ("a", "b", "c", "d", "tx", "ty")
 
-    def __init__(self, a: float, b: float, c: float, d: float, tx: float, ty: float) -> None:
-        store(self, "a", a)
-        store(self, "b", b)
-        store(self, "c", c)
-        store(self, "d", d)
-        store(self, "tx", tx)
-        store(self, "ty", ty)
-
 
 def apply(t: AffineTransform, p: Point) -> Point:
     return Point(t.a * p.x + t.c * p.y + t.tx, t.b * p.x + t.d * p.y + t.ty)

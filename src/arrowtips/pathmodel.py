@@ -148,11 +148,6 @@ class Circle(_PathOp):
 
     __slots__ = __match_args__ = ("cx", "cy", "radius")
 
-    def __init__(self, cx: Coord, cy: Coord, radius: Coord) -> None:
-        store(self, "cx", cx)
-        store(self, "cy", cy)
-        store(self, "radius", radius)
-
 
 class SetCap(Record):
     __slots__ = __match_args__ = ("cap",)

@@ -99,8 +99,9 @@ def test_generated_evaluators_equal_the_interpreter_for_every_placement():
         tip = lookup(definition.end_name, Side.END)
         placed = _tips.PLACED[definition.end_name]
         for w in SWEEP_WIDTHS:
+            built = program(tip, w)
             for t in placements:
-                want = _bits(lambda: evaluate(transform_program(program(tip, w), t), w))
+                want = _bits(lambda: evaluate(transform_program(built, t), w))
                 got = _bits(lambda: placed(w, t.a, t.b, t.c, t.d, t.tx, t.ty))
                 assert got == want, (definition.end_name, w, t)
 

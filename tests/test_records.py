@@ -4,6 +4,7 @@ Each record is compared with a frozen dataclass of the same name and fields,
 built here with ``dataclasses.make_dataclass``: the old form of the class.
 """
 
+import collections
 import copy
 import dataclasses
 import functools
@@ -12,6 +13,7 @@ import pickle
 
 import pytest
 
+from arrowtips import cli
 from arrowtips._record import Record
 from arrowtips.attach import (
     CubicSegment,
@@ -19,6 +21,7 @@ from arrowtips.attach import (
     HostPath,
     LineSegment,
     Placement,
+    decorate,
 )
 from arrowtips.catalog import Extents, Side, TipDefinition, TipId, registry
 from arrowtips.geometry import AffineTransform, Point
@@ -42,6 +45,7 @@ from arrowtips.pathmodel import (
     _PointOp,
 )
 from arrowtips.specparser import ArrowSpec
+from arrowtips.svg import render_document
 
 O, X, Y = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
 LINE = LineSegment(O, X)
@@ -235,10 +239,77 @@ def test_defaults_are_the_dataclass_defaults():
     lambda: Translate(1.0, 2.0, scale=3.0),
     lambda: SetCap(),
     lambda: TipDefinition("a", "b", None),
-], ids=["too-many", "twice", "missing-first", "missing-last", "unknown", "none", "one-short"])
+    lambda: AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    lambda: AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, a=1.0),
+    lambda: AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0),
+    lambda: AffineTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, scale=1.0),
+    lambda: Placement(SHIFT, SHIFT),
+    lambda: Placement(SHIFT, transform=SHIFT),
+    lambda: Placement(),
+    lambda: Placement(SHIFT, origin=O),
+    lambda: Circle(1.0, 2.0, 0.5, 0.0),
+    lambda: Circle(1.0, 2.0, 0.5, cx=1.0),
+    lambda: Circle(1.0, 2.0),
+    lambda: Circle(1.0, 2.0, 0.5, r=0.5),
+], ids=["too-many", "twice", "missing-first", "missing-last", "unknown", "none", "one-short",
+        *(f"{name}-{kind}" for name in ("AffineTransform", "Placement", "Circle")
+          for kind in ("too-many", "twice", "missing", "unknown"))])
 def test_the_shared_constructor_rejects_what_the_dataclass_rejected(make):
     with pytest.raises(TypeError):
         make()
+
+
+# The classes whose constructor checks, converts or defaults a field.
+CHECKED = {Point, HostPath, RenderProgram, SetLineWidthFactor, Scalar, ArrowSpec}
+# A class that a benchmark op builds this often per arrow writes its own
+# constructor; the shared one costs about a microsecond more per build.
+HOT = 0.5
+CUBIC = HostPath((CubicSegment(O, Point(30.0, 40.0), Point(70.0, 40.0), Point(100.0, 0.0)),))
+
+
+def _builds_per_arrow(monkeypatch, run):
+    """Constructions per arrow of ``run()``, which returns its arrow count.
+
+    A build counts against the class whose hand-written ``__init__`` ran, or
+    against the class built when the shared ``Record.__init__`` ran.
+    """
+    counts = collections.Counter()
+
+    def counting(owner, init):
+        def __init__(self, *args, **kwargs):
+            counts[self.__class__ if owner is Record else owner] += 1
+            init(self, *args, **kwargs)
+        return __init__
+
+    with monkeypatch.context() as patch:
+        for owner in (Record, *_package_records()):
+            if "__init__" in vars(owner):
+                patch.setattr(owner, "__init__", counting(owner, vars(owner)["__init__"]))
+        arrows = run()
+    return {cls: count / arrows for cls, count in counts.items()}
+
+
+def _gallery(tmp_path):
+    cli.main(["gallery", "--out", str(tmp_path / "gallery.svg")])
+    return len(registry()) * 3  # the default gallery draws each tip at 3 widths
+
+
+def _tips_on_the_cubic():
+    specs = [spec for entry in registry()
+             for spec in (ArrowSpec(end=entry.end_name), ArrowSpec(start=entry.start_name))]
+    render_document([("", decorate(CUBIC, spec, 1.0)) for spec in specs], columns=2)
+    return len(specs)
+
+
+def test_a_record_writes_its_own_constructor_only_to_check_a_field_or_for_traffic(
+        monkeypatch, tmp_path):
+    runs = (_builds_per_arrow(monkeypatch, lambda: _gallery(tmp_path)),
+            _builds_per_arrow(monkeypatch, _tips_on_the_cubic))
+    assert runs[0][CurveTo] > HOT and runs[1][CubicSegment] > HOT  # the counts reach the ops
+    wrong = {cls.__name__: [run.get(cls, 0.0) for run in runs] for cls in _package_records()
+             if ("__init__" in vars(cls))
+             != (cls in CHECKED or any(run.get(cls, 0.0) >= HOT for run in runs))}
+    assert wrong == {}
 
 
 def test_no_record_has_an_instance_dict():
