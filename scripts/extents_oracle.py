@@ -6,8 +6,8 @@ formulas, reduced to affine coefficients
     left(w)  = l0 + l1 * w
     right(w) = r0 + r1 * w
 
-independently of how the package computes them (the package evaluates the
-nested base-unit expressions at runtime).  The tier-1 tests compare the two:
+independently of how the package computes them (the package resolves each
+tip's ``_reach`` row at runtime).  The tier-1 tests compare the two:
 ``test_acceptance.py::test_every_extent_matches_the_independent_table`` at
 w in {0.4, 0.8, 1.6} within 1e-9 pt, and ``test_compile_tips.py`` against the
 traced extents of every entry.  The tests and ``perfbench`` load it by path;

@@ -7,10 +7,12 @@ render program.  Most tips measure themselves in a private base unit
 against the line-width register stay symbolic (``wl``) and follow mid-program
 register changes.
 
-To add a tip, write its extents and program functions of w, or one family
-helper that returns the (extents, program) pairs of several shapes, as
-``_vee_family`` does, and ``_declare`` each entry in the registry section.
-Build no program at import.  Then rerun ``scripts/compile_tips.py``.
+To add a tip, write its program function of w, or one family helper that
+returns the program functions of several shapes, as ``_vee_family`` does.
+Then ``_declare`` it in the registry section with its reach as one
+``_reach`` row: how many base units and widths it reaches behind and past
+its front.  Build no program at import.  Then rerun
+``scripts/compile_tips.py``.
 
 Reversed forms declared as mirrors of an original, with
 ``_declare_reversed(original_end_name)``, satisfy, exactly:
@@ -137,18 +139,28 @@ _DIAMOND_UNIT = _unit(0.4, 0.275)
 _CURVE_UNIT = _unit(0.28, 0.3)    # curved-outline tips
 _SERIF_UNIT = _unit(0.4, 0.45)
 _BRACKET_UNIT = _unit(1.0, 1.25)
+_ONE = _unit(1.0, 0.0)            # tips measured in points and widths alone
+
+
+def _reach(unit: Callable[[float], float], back: float, back_w: float,
+           front: float, front_w: float) -> Callable[[float], Extents]:
+    """Extents function of a tip that reaches behind and past its front.
+
+    At width w, with ``a = unit(w)``, the tip starts ``back * a + back_w * w``
+    behind its front and ends ``front * a + front_w * w`` past it.
+    """
+
+    def extents(w: float) -> Extents:
+        a = unit(w)
+        return Extents(-(back * a + back_w * w), front * a + front_w * w)
+    return extents
 
 
 # --- square bracket ---------------------------------------------------------
 
-def _bracket_extents(w: float) -> Extents:
-    a = _BRACKET_UNIT(w)
-    return Extents(-a, 0.5 * w)
-
-
 def _bracket_program(w: float) -> RenderProgram:
-    # The drawing unit is larger than the extents unit, so the drawn bracket
-    # overhangs its declared extents.  Kept as declared.
+    # The drawing unit is larger than the extents unit of its _reach row, so
+    # the drawn bracket overhangs its declared extents.  Kept as declared.
     a = _PAREN_UNIT(w)
     b = a + w
     return RenderProgram((
@@ -162,11 +174,6 @@ def _bracket_program(w: float) -> RenderProgram:
 
 
 # --- round bracket ----------------------------------------------------------
-
-def _paren_extents(w: float) -> Extents:
-    a = _PAREN_UNIT(w)
-    return Extents(-(0.5 * a + 0.5 * w), 0.0625 * a + 0.5 * w)
-
 
 def _paren_program(w: float) -> RenderProgram:
     a = _PAREN_UNIT(w)
@@ -193,20 +200,13 @@ def _vee_arm_ops(apex_x: float, arm_angle: float, arm_reach: float):
     )
 
 
-def _vee_family(back: float, front_w: float, arms: Callable[[float], tuple]):
-    """Extents and program functions of ``angle N`` and of ``triangle N``.
+def _vee_family(arms: Callable[[float], tuple]):
+    """Program functions of ``angle N`` and of ``triangle N``.
 
-    Both draw the same ``arms(a)`` and reach ``back`` units behind and
-    ``front_w`` widths past the apex at half a unit.  They differ in the base
-    unit and the paint: the angle is an open stroke with round caps, the
+    Both draw the same ``arms(a)``, apex at half a unit.  They differ in the
+    base unit and the paint: the angle is an open stroke with round caps, the
     triangle is closed and filled.
     """
-
-    def extents_fn(unit):
-        def extents(w: float) -> Extents:
-            a = unit(w)
-            return Extents(-(back * a + 0.5 * w), 0.5 * a + front_w * w)
-        return extents
 
     def angle_program(w: float) -> RenderProgram:
         return RenderProgram((
@@ -223,24 +223,16 @@ def _vee_family(back: float, front_w: float, arms: Callable[[float], tuple]):
             Action.FILL_STROKE,
         ))
 
-    return ((extents_fn(_ANGLE_UNIT), angle_program),
-            (extents_fn(_TRIANGLE_UNIT), triangle_program))
+    return angle_program, triangle_program
 
 
-_ANGLE_90, _TRIANGLE_90 = _vee_family(5.5, 0.707, lambda a: (
+_ANGLE_90, _TRIANGLE_90 = _vee_family(lambda a: (
     move_to(-5.5 * a, -6.0 * a),
     line_to(0.5 * a, 0.0),
     line_to(-5.5 * a, 6.0 * a),
 ))
-_ANGLE_60, _TRIANGLE_60 = _vee_family(
-    7.29, 1.0, lambda a: _vee_arm_ops(0.5 * a, 150.0, 9.0 * a))
-_ANGLE_45, _TRIANGLE_45 = _vee_family(
-    8.705, 1.28, lambda a: _vee_arm_ops(0.5 * a, 157.0, 10.0 * a))
-
-
-def _filled_dot_extents(w: float) -> Extents:
-    a = _DOT_UNIT(w)
-    return Extents(-(5.5 * a + w), 1.5 * a + 0.5 * w)
+_ANGLE_60, _TRIANGLE_60 = _vee_family(lambda a: _vee_arm_ops(0.5 * a, 150.0, 9.0 * a))
+_ANGLE_45, _TRIANGLE_45 = _vee_family(lambda a: _vee_arm_ops(0.5 * a, 157.0, 10.0 * a))
 
 
 def _filled_dot_program(w: float) -> RenderProgram:
@@ -251,22 +243,12 @@ def _filled_dot_program(w: float) -> RenderProgram:
     ))
 
 
-def _open_dot_extents(w: float) -> Extents:
-    a = _DOT_UNIT(w)
-    return Extents(-0.5 * w, 9.0 * a + 0.5 * w)
-
-
 def _open_dot_program(w: float) -> RenderProgram:
     a = _DOT_UNIT(w)
     return RenderProgram((
         circle(4.5 * a, 0.0, 4.5 * a),
         Action.STROKE,
     ))
-
-
-def _diamond_extents(w: float) -> Extents:
-    a = _DIAMOND_UNIT(w)
-    return Extents(-(13.0 * a + 0.5 * w), a + 0.5 * w)
 
 
 def _diamond_program(w: float) -> RenderProgram:
@@ -282,11 +264,6 @@ def _diamond_program(w: float) -> RenderProgram:
     ))
 
 
-def _open_diamond_extents(w: float) -> Extents:
-    a = _DIAMOND_UNIT(w)
-    return Extents(-0.5 * w, 14.0 * a + 0.5 * w)
-
-
 def _open_diamond_program(w: float) -> RenderProgram:
     a = _DIAMOND_UNIT(w)
     return RenderProgram((
@@ -300,22 +277,16 @@ def _open_diamond_program(w: float) -> RenderProgram:
     ))
 
 
-def _open_triangle_family(length: float, front_w: float, arms: Callable[[float], tuple],
+def _open_triangle_family(arms: Callable[[float], tuple],
                           reversed_arms: Callable[[float], tuple]):
-    """Extents and program functions of ``open triangle N`` and of its reversed form.
+    """Program functions of ``open triangle N`` and of its reversed form.
 
-    Both are closed, stroked outlines ``length`` triangle units long.  The
-    forward one draws ``arms(a)`` and reaches ``front_w`` widths past its tip
-    and half a width behind its base; the reversed one draws
-    ``reversed_arms(a)``, with the two reaches swapped.  The forms are
+    Both are closed, stroked outlines in triangle units: the forward one
+    draws ``arms(a)``, the reversed one ``reversed_arms(a)``.  The forms are
     declared independently, not as mirrors.
     """
 
-    def declared(arms, back_w: float, front_w: float):
-        def extents(w: float) -> Extents:
-            a = _TRIANGLE_UNIT(w)
-            return Extents(-back_w * w, length * a + front_w * w)
-
+    def outline(arms):
         def program(w: float) -> RenderProgram:
             return RenderProgram((
                 SetJoin(LineJoin.MITER),
@@ -323,31 +294,23 @@ def _open_triangle_family(length: float, front_w: float, arms: Callable[[float],
                 ClosePath(),
                 Action.STROKE,
             ))
-        return extents, program
+        return program
 
-    return declared(arms, 0.5, front_w), declared(reversed_arms, front_w, 0.5)
+    return outline(arms), outline(reversed_arms)
 
 
 _OPEN_TRIANGLE_90, _OPEN_TRIANGLE_90_REVERSED = _open_triangle_family(
-    6.0, 0.707,
     lambda a: (move_to(0.0, -6.0 * a), line_to(6.0 * a, 0.0), line_to(0.0, 6.0 * a)),
     lambda a: (move_to(6.0 * a, -6.0 * a), line_to(0.0, 0.0), line_to(6.0 * a, 6.0 * a)))
 _OPEN_TRIANGLE_60, _OPEN_TRIANGLE_60_REVERSED = _open_triangle_family(
-    7.794, 1.0,
     lambda a: _vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
     lambda a: _vee_arm_ops(0.0, 30.0, 9.0 * a))
 _OPEN_TRIANGLE_45, _OPEN_TRIANGLE_45_REVERSED = _open_triangle_family(
-    9.205, 1.28,
     lambda a: _vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
     lambda a: _vee_arm_ops(0.0, 23.0, 10.0 * a))
 
 
 # --- curved-outline tips ------------------------------------------------------
-
-def _latex_prime_extents(w: float) -> Extents:
-    a = _CURVE_UNIT(w)
-    return Extents(-4.0 * a, 6.0 * a)
-
 
 def _latex_prime_program(w: float) -> RenderProgram:
     a = _CURVE_UNIT(w)
@@ -358,11 +321,6 @@ def _latex_prime_program(w: float) -> RenderProgram:
         curve_to(-a, -1.5 * a, 3.5 * a, -0.5 * a, 6.0 * a, 0.0),
         Action.FILL,
     ))
-
-
-def _stealth_prime_extents(w: float) -> Extents:
-    a = _CURVE_UNIT(w)
-    return Extents(-(6.0 * a + 0.5 * w), 2.0 * a + 0.5 * w)
 
 
 def _stealth_prime_program(w: float) -> RenderProgram:
@@ -376,10 +334,6 @@ def _stealth_prime_program(w: float) -> RenderProgram:
         ClosePath(),
         Action.FILL_STROKE,
     ))
-
-
-def _to_extents(w: float) -> Extents:
-    return Extents(-0.84 - 1.3 * w, 0.21 + 0.625 * w)
 
 
 def _to_program(w: float, sign: float) -> RenderProgram:
@@ -398,11 +352,6 @@ def _to_program(w: float, sign: float) -> RenderProgram:
         line_to(0.0, wl(-sign * 0.125)),
         Action.STROKE,
     ))
-
-
-def _to_reversed_extents(w: float) -> Extents:
-    a = _CURVE_UNIT(w)
-    return Extents(-0.1 * w, 3.75 * a + 0.9 * w)
 
 
 def _to_reversed_program(w: float, sign: float) -> RenderProgram:
@@ -428,11 +377,6 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
 
 # --- hooks --------------------------------------------------------------------
 
-def _hook_extents(w: float) -> Extents:
-    a = _DOT_UNIT(w)
-    return Extents(-0.5 * w, 3.75 * a + 0.5 * w)
-
-
 def _hook_arc_ops(a: float, sign: float):
     return (
         curve_to(2.415 * a, 0.0, 3.75 * a, sign * 1.665 * a, 3.75 * a, sign * 3.0 * a),
@@ -456,11 +400,6 @@ def _hook_program(w: float, sign: float, twin: bool = False) -> RenderProgram:
 
 # --- serif ---------------------------------------------------------------------
 
-def _serif_extents(w: float) -> Extents:
-    a = _SERIF_UNIT(w)
-    return Extents(-0.75 * a, 0.04 * w)
-
-
 def _serif_program(w: float) -> RenderProgram:
     a = _SERIF_UNIT(w)
     return RenderProgram((
@@ -479,6 +418,7 @@ def _serif_program(w: float) -> RenderProgram:
 # --- line caps ------------------------------------------------------------------
 
 def _round_cap_extents(w: float) -> Extents:
+    # Not a _reach row: its left extent is +0.0, and a negated sum gives -0.0.
     return Extents(0.0, w)
 
 
@@ -489,10 +429,6 @@ def _round_cap_program(w: float) -> RenderProgram:
         line_to(wl(0.5), 0.0),
         Action.STROKE,
     ))
-
-
-def _butt_cap_extents(w: float) -> Extents:
-    return Extents(-0.1 * w, 0.5 * w)
 
 
 def _butt_cap_program(w: float) -> RenderProgram:
@@ -522,18 +458,10 @@ def _filled_cap(*subpaths: tuple, close: bool = False) -> Callable[[float], Rend
     return program
 
 
-def _triangle_cap_extents(w: float) -> Extents:
-    return Extents(-0.1 * w, w)
-
-
 _TRIANGLE_CAP_POINTS = ((-0.1, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, -0.5), (-0.1, -0.5))
 _triangle_cap_program = _filled_cap(_TRIANGLE_CAP_POINTS)
 _triangle_cap_reversed_program = _filled_cap(
     ((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0)))
-
-
-def _fast_cap_extents(w: float) -> Extents:
-    return Extents(-0.1 * w, 2.0 * w)
 
 
 _fast_cap_program = _filled_cap(
@@ -583,53 +511,60 @@ def _declare_reversed(original_end: str, start: str | None = None,
     return definition
 
 
-_declare("[", _bracket_extents, _bracket_program, "]")
+_declare("[", _reach(_BRACKET_UNIT, 1.0, 0.0, 0.0, 0.5), _bracket_program, "]")
 _declare_reversed("]", "]", "[")
-_declare("(", _paren_extents, _paren_program, ")")
+_declare("(", _reach(_PAREN_UNIT, 0.5, 0.5, 0.0625, 0.5), _paren_program, ")")
 _declare_reversed(")", ")", "(")
-_declare("angle 90", *_ANGLE_90)
+_declare("angle 90", _reach(_ANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _ANGLE_90)
 _declare_reversed("angle 90")
-_declare("angle 60", *_ANGLE_60)
+_declare("angle 60", _reach(_ANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _ANGLE_60)
 _declare_reversed("angle 60")
-_declare("angle 45", *_ANGLE_45)
+_declare("angle 45", _reach(_ANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _ANGLE_45)
 _declare_reversed("angle 45")
-_declare("*", _filled_dot_extents, _filled_dot_program)
-_declare("o", _open_dot_extents, _open_dot_program)
-_declare("diamond", _diamond_extents, _diamond_program)
-_declare("open diamond", _open_diamond_extents, _open_diamond_program)
-_declare("triangle 90", *_TRIANGLE_90)
+_declare("*", _reach(_DOT_UNIT, 5.5, 1.0, 1.5, 0.5), _filled_dot_program)
+_declare("o", _reach(_DOT_UNIT, 0.0, 0.5, 9.0, 0.5), _open_dot_program)
+_declare("diamond", _reach(_DIAMOND_UNIT, 13.0, 0.5, 1.0, 0.5), _diamond_program)
+_declare("open diamond", _reach(_DIAMOND_UNIT, 0.0, 0.5, 14.0, 0.5), _open_diamond_program)
+_declare("triangle 90", _reach(_TRIANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _TRIANGLE_90)
 _declare_reversed("triangle 90")
-_declare("triangle 60", *_TRIANGLE_60)
+_declare("triangle 60", _reach(_TRIANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _TRIANGLE_60)
 _declare_reversed("triangle 60")
-_declare("triangle 45", *_TRIANGLE_45)
+_declare("triangle 45", _reach(_TRIANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _TRIANGLE_45)
 _declare_reversed("triangle 45")
-_declare("open triangle 90", *_OPEN_TRIANGLE_90)
-_declare("open triangle 90 reversed", *_OPEN_TRIANGLE_90_REVERSED)
-_declare("open triangle 60", *_OPEN_TRIANGLE_60)
-_declare("open triangle 60 reversed", *_OPEN_TRIANGLE_60_REVERSED)
-_declare("open triangle 45", *_OPEN_TRIANGLE_45)
-_declare("open triangle 45 reversed", *_OPEN_TRIANGLE_45_REVERSED)
-_declare("latex'", _latex_prime_extents, _latex_prime_program)
+_declare("open triangle 90", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 6.0, 0.707), _OPEN_TRIANGLE_90)
+_declare("open triangle 90 reversed", _reach(_TRIANGLE_UNIT, 0.0, 0.707, 6.0, 0.5),
+         _OPEN_TRIANGLE_90_REVERSED)
+_declare("open triangle 60", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 7.794, 1.0), _OPEN_TRIANGLE_60)
+_declare("open triangle 60 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.0, 7.794, 0.5),
+         _OPEN_TRIANGLE_60_REVERSED)
+_declare("open triangle 45", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 9.205, 1.28), _OPEN_TRIANGLE_45)
+_declare("open triangle 45 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.28, 9.205, 0.5),
+         _OPEN_TRIANGLE_45_REVERSED)
+_declare("latex'", _reach(_CURVE_UNIT, 4.0, 0.0, 6.0, 0.0), _latex_prime_program)
 _declare_reversed("latex'")
-_declare("stealth'", _stealth_prime_extents, _stealth_prime_program)
+_declare("stealth'", _reach(_CURVE_UNIT, 6.0, 0.5, 2.0, 0.5), _stealth_prime_program)
 _declare_reversed("stealth'")
-_declare("left to", _to_extents, partial(_to_program, sign=1.0))
-_declare("right to", _to_extents, partial(_to_program, sign=-1.0))
-_declare("left to reversed", _to_reversed_extents, partial(_to_reversed_program, sign=1.0))
-_declare("right to reversed", _to_reversed_extents, partial(_to_reversed_program, sign=-1.0))
-_declare("left hook", _hook_extents, partial(_hook_program, sign=1.0))
+_declare("left to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), partial(_to_program, sign=1.0))
+_declare("right to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), partial(_to_program, sign=-1.0))
+_declare("left to reversed", _reach(_CURVE_UNIT, 0.0, 0.1, 3.75, 0.9),
+         partial(_to_reversed_program, sign=1.0))
+_declare("right to reversed", _reach(_CURVE_UNIT, 0.0, 0.1, 3.75, 0.9),
+         partial(_to_reversed_program, sign=-1.0))
+_declare("left hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), partial(_hook_program, sign=1.0))
 _declare_reversed("left hook")
-_declare("right hook", _hook_extents, partial(_hook_program, sign=-1.0))
+_declare("right hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), partial(_hook_program, sign=-1.0))
 _declare_reversed("right hook")
-_declare("hooks", _hook_extents, partial(_hook_program, sign=1.0, twin=True))
+_declare("hooks", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5),
+         partial(_hook_program, sign=1.0, twin=True))
 _declare_reversed("hooks")
-_declare("serif cm", _serif_extents, _serif_program)
+_declare("serif cm", _reach(_SERIF_UNIT, 0.75, 0.0, 0.0, 0.04), _serif_program)
 _declare("round cap", _round_cap_extents, _round_cap_program)
-_declare("butt cap", _butt_cap_extents, _butt_cap_program)
-_declare("triangle 90 cap", _triangle_cap_extents, _triangle_cap_program)
-_declare("triangle 90 cap reversed", _triangle_cap_extents, _triangle_cap_reversed_program)
-_declare("fast cap", _fast_cap_extents, _fast_cap_program)
-_declare("fast cap reversed", _fast_cap_extents, _fast_cap_reversed_program)
+_declare("butt cap", _reach(_ONE, 0.0, 0.1, 0.0, 0.5), _butt_cap_program)
+_declare("triangle 90 cap", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _triangle_cap_program)
+_declare("triangle 90 cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 1.0),
+         _triangle_cap_reversed_program)
+_declare("fast cap", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _fast_cap_program)
+_declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _fast_cap_reversed_program)
 
 
 # --- public API -------------------------------------------------------------------

@@ -319,3 +319,38 @@ def _catalog_digest() -> str:
 
 def test_catalog_is_pinned_to_the_bit():
     assert _catalog_digest() == CATALOG_DIGEST
+
+
+# Widths at both ends of the float range: subnormal, the smallest normal,
+# tiny, and large enough that some tips overflow.  PIN_WIDTHS holds normal
+# widths only, so it cannot see the sign of a zero extent at a subnormal
+# width, where ``o`` reaches back -0.0 and ``round cap`` +0.0.
+EXTREME_WIDTHS = (5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
+                  1e300, 1e307, 1.5e308, sys.float_info.max)
+# sha256 over every entry, both sides, every width in EXTREME_WIDTHS: the
+# tip's name and float.hex of both extents, or the ValueError text where the
+# width overflows the tip.
+EXTREME_EXTENTS_DIGEST = "d10576ff4290144027a500760a132eb14be274acbb9f61cd76e500ac9367693f"
+
+
+def _extreme_extents_digest() -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for definition in registry():
+        for name, side in ((definition.start_name, Side.START), (definition.end_name, Side.END)):
+            tip = lookup(name, side)
+            for w in EXTREME_WIDTHS:
+                try:
+                    e = extents(tip, w)
+                    reach = f"{float.hex(e.left)}|{float.hex(e.right)}"
+                except ValueError as err:
+                    reach = str(err)
+                digest.update(f"{name}|{side.value}|{float.hex(w)}|{reach}\n".encode())
+    return digest.hexdigest()
+
+
+def test_extents_are_pinned_to_the_bit_at_extreme_widths():
+    assert math.copysign(1.0, extents(lookup("o", Side.END), 5e-324).left) == -1.0
+    assert math.copysign(1.0, extents(lookup("round cap", Side.END), 5e-324).left) == 1.0
+    assert _extreme_extents_digest() == EXTREME_EXTENTS_DIGEST
