@@ -183,9 +183,8 @@ def trace(definition: TipDefinition):
 
 def affine_extents(definition: TipDefinition) -> tuple[tuple[float, float], tuple[float, float]]:
     """((l0, l1), (r0, r1)) of the entry's traced extents, the oracle's row form."""
-    extents = definition.extents_fn(var("w"))
-    return tuple(tuple(float(c) for c in affine(side))
-                 for side in (extents.left, extents.right))
+    left, right = definition.extents_fn(var("w"))
+    return tuple(tuple(float(c) for c in affine(side)) for side in (left, right))
 
 
 def bound(node: Sym, bounds: dict) -> float:

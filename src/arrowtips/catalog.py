@@ -1,18 +1,21 @@
 """The arrow-tip catalog.
 
-Every tip is a pure function of the host stroke width w: an extents record
-(signed reach along the x axis, tip front at the origin pointing +x) and a
-render program.  Most tips measure themselves in a private base unit
+Every tip is a pure function of the host stroke width w: its extents, the
+signed reach (left, right) along the x axis with the tip front at the origin
+pointing +x, and a render program.  Most tips measure themselves in a private base unit
 ``a = pt + k * w`` resolved when the program is built; coordinates written
 against the line-width register stay symbolic (``wl``) and follow mid-program
 register changes.
 
-To add a tip, write its program function of w, or one family helper that
-returns the program functions of several shapes, as ``_vee_family`` does.
-Then ``_declare`` it in the registry section with its reach as one
-``_reach`` row: how many base units and widths it reaches behind and past
-its front.  Build no program at import.  Then rerun
-``scripts/compile_tips.py``.
+To add a tip, write its outline as a function of its base unit ``a``.  Then
+``_declare`` it in the registry section with its reach as one ``_reach``
+row (how many base units and widths it reaches behind and past its front)
+and, next to it, its drawing as one ``_shape`` row (the unit, the outline,
+the paint, the state ops set before the outline, and whether it closes).
+Write a program function of w only for a shape that ``_shape`` cannot state:
+``_bracket_program`` also draws in ``a + w``, ``_to_reversed_program``
+strokes twice, and ``_filled_cap`` closes each subpath, in widths.  Build no
+program at import.  Then rerun ``scripts/compile_tips.py``.
 
 Reversed forms declared as mirrors of an original, with
 ``_declare_reversed(original_end_name)``, satisfy, exactly:
@@ -143,49 +146,43 @@ _ONE = _unit(1.0, 0.0)            # tips measured in points and widths alone
 
 
 def _reach(unit: Callable[[float], float], back: float, back_w: float,
-           front: float, front_w: float) -> Callable[[float], Extents]:
+           front: float, front_w: float) -> Callable[[float], tuple[float, float]]:
     """Extents function of a tip that reaches behind and past its front.
 
     At width w, with ``a = unit(w)``, the tip starts ``back * a + back_w * w``
-    behind its front and ends ``front * a + front_w * w`` past it.
+    behind its front and ends ``front * a + front_w * w`` past it.  Like every
+    extents function, it returns the pair (left, right); ``extents`` builds
+    the record.
     """
 
-    def extents(w: float) -> Extents:
+    def extents(w: float) -> tuple[float, float]:
         a = unit(w)
-        return Extents(-(back * a + back_w * w), front * a + front_w * w)
+        return -(back * a + back_w * w), front * a + front_w * w
     return extents
 
 
-# --- square bracket ---------------------------------------------------------
-
-def _bracket_program(w: float) -> RenderProgram:
-    # The drawing unit is larger than the extents unit of its _reach row, so
-    # the drawn bracket overhangs its declared extents.  Kept as declared.
-    a = _PAREN_UNIT(w)
-    b = a + w
-    return RenderProgram((
-        SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
-        move_to(-0.5 * b, -a),
-        line_to(0.0, -a),
-        line_to(0.0, a),
-        line_to(-0.5 * b, a),
-        Action.STROKE,
-    ))
+# Ops that many rows share.  An op is immutable, so one instance serves all.
+_ROUND_CAP = SetCap(LineCap.ROUND)
+_MITER_JOIN = SetJoin(LineJoin.MITER)
+_ROUND_JOIN = SetJoin(LineJoin.ROUND)
+_CLOSE = ClosePath()
 
 
-# --- round bracket ----------------------------------------------------------
+def _shape(unit: Callable[[float], float], outline: Callable[[float], tuple], action: Action,
+           *state, close: bool = False) -> Callable[[float], RenderProgram]:
+    """Program function of a tip drawn as one outline in one base unit.
 
-def _paren_program(w: float) -> RenderProgram:
-    a = _PAREN_UNIT(w)
-    return RenderProgram((
-        SetCap(LineCap.ROUND),
-        move_to(-0.5 * a, -a),
-        curve_to(0.25 * a, -0.5 * a, 0.25 * a, 0.5 * a, -0.5 * a, a),
-        Action.STROKE,
-    ))
+    At width w the program sets ``state``, draws ``outline(unit(w))``, closes
+    it if ``close``, and paints it once with ``action``.
+    """
+    closing = (_CLOSE,) * close
+
+    def program(w: float) -> RenderProgram:
+        return RenderProgram((*state, *outline(unit(w)), *closing, action))
+    return program
 
 
-# --- open vees and filled/open triangles -------------------------------------
+# --- outlines shared by several rows ------------------------------------------
 
 def _vee_arm_ops(apex_x: float, arm_angle: float, arm_reach: float):
     """Upper arm, apex, lower arm of a symmetric vee opening to the left.
@@ -200,164 +197,71 @@ def _vee_arm_ops(apex_x: float, arm_angle: float, arm_reach: float):
     )
 
 
-def _vee_family(arms: Callable[[float], tuple]):
-    """Program functions of ``angle N`` and of ``triangle N``.
-
-    Both draw the same ``arms(a)``, apex at half a unit.  They differ in the
-    base unit and the paint: the angle is an open stroke with round caps, the
-    triangle is closed and filled.
-    """
-
-    def angle_program(w: float) -> RenderProgram:
-        return RenderProgram((
-            SetCap(LineCap.ROUND), SetJoin(LineJoin.MITER),
-            *arms(_ANGLE_UNIT(w)),
-            Action.STROKE,
-        ))
-
-    def triangle_program(w: float) -> RenderProgram:
-        return RenderProgram((
-            SetJoin(LineJoin.MITER),
-            *arms(_TRIANGLE_UNIT(w)),
-            ClosePath(),
-            Action.FILL_STROKE,
-        ))
-
-    return angle_program, triangle_program
+# The arms of ``angle N`` and of ``triangle N``, apex at half a unit.  The two
+# differ in the base unit and the paint.
+def _arms_90(a: float):
+    return (move_to(-5.5 * a, -6.0 * a), line_to(0.5 * a, 0.0), line_to(-5.5 * a, 6.0 * a))
 
 
-_ANGLE_90, _TRIANGLE_90 = _vee_family(lambda a: (
-    move_to(-5.5 * a, -6.0 * a),
-    line_to(0.5 * a, 0.0),
-    line_to(-5.5 * a, 6.0 * a),
-))
-_ANGLE_60, _TRIANGLE_60 = _vee_family(lambda a: _vee_arm_ops(0.5 * a, 150.0, 9.0 * a))
-_ANGLE_45, _TRIANGLE_45 = _vee_family(lambda a: _vee_arm_ops(0.5 * a, 157.0, 10.0 * a))
+def _arms_60(a: float):
+    return _vee_arm_ops(0.5 * a, 150.0, 9.0 * a)
 
 
-def _filled_dot_program(w: float) -> RenderProgram:
-    a = _DOT_UNIT(w)
-    return RenderProgram((
-        circle(-3.0 * a, 0.0, 4.5 * a),
-        Action.FILL_STROKE,
-    ))
+def _arms_45(a: float):
+    return _vee_arm_ops(0.5 * a, 157.0, 10.0 * a)
 
 
-def _open_dot_program(w: float) -> RenderProgram:
-    a = _DOT_UNIT(w)
-    return RenderProgram((
-        circle(4.5 * a, 0.0, 4.5 * a),
-        Action.STROKE,
-    ))
-
-
-def _diamond_program(w: float) -> RenderProgram:
-    a = _DIAMOND_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.ROUND),
-        move_to(a, 0.0),
-        line_to(-6.0 * a, 4.0 * a),
-        line_to(-13.0 * a, 0.0),
-        line_to(-6.0 * a, -4.0 * a),
-        ClosePath(),
-        Action.FILL_STROKE,
-    ))
-
-
-def _open_diamond_program(w: float) -> RenderProgram:
-    a = _DIAMOND_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.ROUND),
-        move_to(14.0 * a, 0.0),
-        line_to(7.0 * a, 4.0 * a),
-        line_to(0.0, 0.0),
-        line_to(7.0 * a, -4.0 * a),
-        ClosePath(),
-        Action.STROKE,
-    ))
-
-
-def _open_triangle_family(arms: Callable[[float], tuple],
-                          reversed_arms: Callable[[float], tuple]):
-    """Program functions of ``open triangle N`` and of its reversed form.
-
-    Both are closed, stroked outlines in triangle units: the forward one
-    draws ``arms(a)``, the reversed one ``reversed_arms(a)``.  The forms are
-    declared independently, not as mirrors.
-    """
-
-    def outline(arms):
-        def program(w: float) -> RenderProgram:
-            return RenderProgram((
-                SetJoin(LineJoin.MITER),
-                *arms(_TRIANGLE_UNIT(w)),
-                ClosePath(),
-                Action.STROKE,
-            ))
-        return program
-
-    return outline(arms), outline(reversed_arms)
-
-
-_OPEN_TRIANGLE_90, _OPEN_TRIANGLE_90_REVERSED = _open_triangle_family(
-    lambda a: (move_to(0.0, -6.0 * a), line_to(6.0 * a, 0.0), line_to(0.0, 6.0 * a)),
-    lambda a: (move_to(6.0 * a, -6.0 * a), line_to(0.0, 0.0), line_to(6.0 * a, 6.0 * a)))
-_OPEN_TRIANGLE_60, _OPEN_TRIANGLE_60_REVERSED = _open_triangle_family(
-    lambda a: _vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
-    lambda a: _vee_arm_ops(0.0, 30.0, 9.0 * a))
-_OPEN_TRIANGLE_45, _OPEN_TRIANGLE_45_REVERSED = _open_triangle_family(
-    lambda a: _vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
-    lambda a: _vee_arm_ops(0.0, 23.0, 10.0 * a))
-
-
-# --- curved-outline tips ------------------------------------------------------
-
-def _latex_prime_program(w: float) -> RenderProgram:
-    a = _CURVE_UNIT(w)
-    return RenderProgram((
-        move_to(6.0 * a, 0.0),
-        curve_to(3.5 * a, 0.5 * a, -a, 1.5 * a, -4.0 * a, 3.75 * a),
-        curve_to(-1.5 * a, a, -1.5 * a, -a, -4.0 * a, -3.75 * a),
-        curve_to(-a, -1.5 * a, 3.5 * a, -0.5 * a, 6.0 * a, 0.0),
-        Action.FILL,
-    ))
-
-
-def _stealth_prime_program(w: float) -> RenderProgram:
-    a = _CURVE_UNIT(w)
-    return RenderProgram((
-        SetJoin(LineJoin.ROUND),
-        move_to(2.0 * a, 0.0),
-        curve_to(-0.5 * a, 0.5 * a, -3.0 * a, 1.5 * a, -6.0 * a, 3.25 * a),
-        curve_to(-3.0 * a, a, -3.0 * a, -a, -6.0 * a, -3.25 * a),
-        curve_to(-3.0 * a, -1.5 * a, -0.5 * a, -0.5 * a, 2.0 * a, 0.0),
-        ClosePath(),
-        Action.FILL_STROKE,
-    ))
-
-
-def _to_program(w: float, sign: float) -> RenderProgram:
-    # The 0.8 width rescale comes first, so every register-relative
-    # coordinate below resolves against 0.8 w.  The base unit was fixed
-    # against the unscaled width.
-    a = _CURVE_UNIT(w)
-    return RenderProgram((
-        SetLineWidthFactor(0.8),
-        SetCap(LineCap.ROUND), SetJoin(LineJoin.ROUND),
+def _to_outline(a: float, sign: float):
+    # Drawn after a 0.8 width rescale, so every register-relative coordinate
+    # resolves against 0.8 w.  The base unit was fixed against the unscaled width.
+    return (
         move_to(-3.0 * a, sign * 4.0 * a),
         curve_to(-2.75 * a, sign * 2.5 * a, 0.0, sign * 0.25 * a, 0.75 * a, 0.0),
         curve_to(0.55 * a, wl(-sign * 0.125),
                  0.5 * a, wl(-sign * 0.125),
                  0.5 * a, wl(-sign * 0.125)),
         line_to(0.0, wl(-sign * 0.125)),
+    )
+
+
+def _hook_arc_ops(a: float, sign: float):
+    return (
+        curve_to(2.415 * a, 0.0, 3.75 * a, sign * 1.665 * a, 3.75 * a, sign * 3.0 * a),
+        curve_to(3.75 * a, sign * 4.665 * a, 2.415 * a, sign * 6.0 * a, 0.75 * a, sign * 6.0 * a),
+    )
+
+
+def _hook_outline(a: float, sign: float, twin: bool = False):
+    """A hook bending toward ``sign`` y; with ``twin``, also its mirror image."""
+    ops = (move_to(0.0, 0.0), line_to(0.75 * a, 0.0), *_hook_arc_ops(a, sign))
+    if twin:
+        ops += (move_to(0.75 * a, 0.0), *_hook_arc_ops(a, -1.0))
+    return ops
+
+
+# --- drawings that _shape cannot state ----------------------------------------
+
+def _bracket_program(w: float) -> RenderProgram:
+    # Written out: it draws in a second unit, a + w.  The drawing unit is
+    # larger than the extents unit of its _reach row, so the drawn bracket
+    # overhangs its declared extents.  Kept as declared.
+    a = _PAREN_UNIT(w)
+    b = a + w
+    return RenderProgram((
+        SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
+        move_to(-0.5 * b, -a),
+        line_to(0.0, -a),
+        line_to(0.0, a),
+        line_to(-0.5 * b, a),
         Action.STROKE,
     ))
 
 
 def _to_reversed_program(w: float, sign: float) -> RenderProgram:
-    # Tail stub at full width, then the barb at 0.8 width.  The origin shift
-    # of 0.625 registers executes after the rescale, so it lands at 0.5 w.
-    # The barb curve is issued twice with differing final y, as declared.
+    # Written out: it strokes twice.  Tail stub at full width, then the barb
+    # at 0.8 width.  The origin shift of 0.625 registers executes after the
+    # rescale, so it lands at 0.5 w.  The barb curve is issued twice with
+    # differing final y, as declared.
     a = _CURVE_UNIT(w)
     return RenderProgram((
         SetJoin(LineJoin.ROUND), SetCap(LineCap.BUTT),
@@ -375,76 +279,12 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
     ))
 
 
-# --- hooks --------------------------------------------------------------------
-
-def _hook_arc_ops(a: float, sign: float):
-    return (
-        curve_to(2.415 * a, 0.0, 3.75 * a, sign * 1.665 * a, 3.75 * a, sign * 3.0 * a),
-        curve_to(3.75 * a, sign * 4.665 * a, 2.415 * a, sign * 6.0 * a, 0.75 * a, sign * 6.0 * a),
-    )
-
-
-def _hook_program(w: float, sign: float, twin: bool = False) -> RenderProgram:
-    """A hook bending toward ``sign`` y; with ``twin``, also its mirror image."""
-    a = _DOT_UNIT(w)
-    ops = [
-        SetCap(LineCap.ROUND),
-        move_to(0.0, 0.0),
-        line_to(0.75 * a, 0.0),
-        *_hook_arc_ops(a, sign),
-    ]
-    if twin:
-        ops += (move_to(0.75 * a, 0.0), *_hook_arc_ops(a, -1.0))
-    return RenderProgram((*ops, Action.STROKE))
-
-
-# --- serif ---------------------------------------------------------------------
-
-def _serif_program(w: float) -> RenderProgram:
-    a = _SERIF_UNIT(w)
-    return RenderProgram((
-        translate(wl(0.04)),
-        move_to(-0.75 * a, wl(0.5)),
-        curve_to(-0.375 * a, wl(0.5), -0.375 * a, wl(0.7), -0.375 * a, 1.95 * a),
-        line_to(0.0, 1.95 * a),
-        curve_to(wl(-0.04), 0.5 * a, wl(-0.04), -0.5 * a, 0.0, -1.95 * a),
-        line_to(-0.375 * a, -1.95 * a),
-        curve_to(-0.375 * a, wl(-0.7), -0.375 * a, wl(-0.5), -0.75 * a, wl(-0.5)),
-        ClosePath(),
-        Action.FILL,
-    ))
-
-
-# --- line caps ------------------------------------------------------------------
-
-def _round_cap_extents(w: float) -> Extents:
-    # Not a _reach row: its left extent is +0.0, and a negated sum gives -0.0.
-    return Extents(0.0, w)
-
-
-def _round_cap_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        SetCap(LineCap.ROUND),
-        move_to(0.0, 0.0),
-        line_to(wl(0.5), 0.0),
-        Action.STROKE,
-    ))
-
-
-def _butt_cap_program(w: float) -> RenderProgram:
-    return RenderProgram((
-        SetCap(LineCap.BUTT),
-        move_to(wl(-0.1), 0.0),
-        line_to(wl(0.5), 0.0),
-        Action.STROKE,
-    ))
-
-
 def _filled_cap(*subpaths: tuple, close: bool = False) -> Callable[[float], RenderProgram]:
     """Program function of a filled cap outline whose points are in line widths.
 
-    Each subpath is a table of (x, y) points: a move to the first, lines to
-    the rest, and with ``close`` a closing segment.
+    Written out: it may draw several subpaths and closes each one.  Each
+    subpath is a table of (x, y) points: a move to the first, lines to the
+    rest, and with ``close`` a closing segment.
     """
 
     def program(w: float) -> RenderProgram:
@@ -459,19 +299,11 @@ def _filled_cap(*subpaths: tuple, close: bool = False) -> Callable[[float], Rend
 
 
 _TRIANGLE_CAP_POINTS = ((-0.1, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, -0.5), (-0.1, -0.5))
-_triangle_cap_program = _filled_cap(_TRIANGLE_CAP_POINTS)
-_triangle_cap_reversed_program = _filled_cap(
-    ((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0)))
 
 
-_fast_cap_program = _filled_cap(
-    _TRIANGLE_CAP_POINTS,
-    ((1.0, 0.5), (1.5, 0.5), (2.0, 0.0), (1.5, -0.5), (1.0, -0.5), (1.5, 0.0)),
-    close=True)
-_fast_cap_reversed_program = _filled_cap(
-    ((-0.1, 0.5), (1.0, 0.5), (0.5, 0.0), (1.0, -0.5), (-0.1, -0.5)),
-    ((1.5, 0.5), (2.0, 0.5), (1.5, 0.0), (2.0, -0.5), (1.5, -0.5), (1.0, 0.0)),
-    close=True)
+def _round_cap_extents(w: float) -> tuple[float, float]:
+    # Not a _reach row: its left extent is +0.0, and a negated sum gives -0.0.
+    return 0.0, w
 
 
 # --- registry -------------------------------------------------------------------
@@ -497,9 +329,9 @@ def _declare_reversed(original_end: str, start: str | None = None,
     """
     original = _BY_END[original_end]
 
-    def extents_fn(w: float) -> Extents:
-        e = original.extents_fn(w)
-        return Extents(-e.right, -e.left)
+    def extents_fn(w: float) -> tuple[float, float]:
+        left, right = original.extents_fn(w)
+        return -right, -left
 
     def program_fn(w: float) -> RenderProgram:
         return mirror_x(original.program_fn(w))
@@ -511,60 +343,134 @@ def _declare_reversed(original_end: str, start: str | None = None,
     return definition
 
 
+# Each row: the names, the reach, then the drawing.
+
 _declare("[", _reach(_BRACKET_UNIT, 1.0, 0.0, 0.0, 0.5), _bracket_program, "]")
 _declare_reversed("]", "]", "[")
-_declare("(", _reach(_PAREN_UNIT, 0.5, 0.5, 0.0625, 0.5), _paren_program, ")")
+_declare("(", _reach(_PAREN_UNIT, 0.5, 0.5, 0.0625, 0.5), _shape(
+    _PAREN_UNIT, lambda a: (
+        move_to(-0.5 * a, -a),
+        curve_to(0.25 * a, -0.5 * a, 0.25 * a, 0.5 * a, -0.5 * a, a),
+    ), Action.STROKE, _ROUND_CAP), ")")
 _declare_reversed(")", ")", "(")
-_declare("angle 90", _reach(_ANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _ANGLE_90)
+_declare("angle 90", _reach(_ANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _shape(
+    _ANGLE_UNIT, _arms_90, Action.STROKE, _ROUND_CAP, _MITER_JOIN))
 _declare_reversed("angle 90")
-_declare("angle 60", _reach(_ANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _ANGLE_60)
+_declare("angle 60", _reach(_ANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _shape(
+    _ANGLE_UNIT, _arms_60, Action.STROKE, _ROUND_CAP, _MITER_JOIN))
 _declare_reversed("angle 60")
-_declare("angle 45", _reach(_ANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _ANGLE_45)
+_declare("angle 45", _reach(_ANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _shape(
+    _ANGLE_UNIT, _arms_45, Action.STROKE, _ROUND_CAP, _MITER_JOIN))
 _declare_reversed("angle 45")
-_declare("*", _reach(_DOT_UNIT, 5.5, 1.0, 1.5, 0.5), _filled_dot_program)
-_declare("o", _reach(_DOT_UNIT, 0.0, 0.5, 9.0, 0.5), _open_dot_program)
-_declare("diamond", _reach(_DIAMOND_UNIT, 13.0, 0.5, 1.0, 0.5), _diamond_program)
-_declare("open diamond", _reach(_DIAMOND_UNIT, 0.0, 0.5, 14.0, 0.5), _open_diamond_program)
-_declare("triangle 90", _reach(_TRIANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _TRIANGLE_90)
+_declare("*", _reach(_DOT_UNIT, 5.5, 1.0, 1.5, 0.5), _shape(
+    _DOT_UNIT, lambda a: (circle(-3.0 * a, 0.0, 4.5 * a),), Action.FILL_STROKE))
+_declare("o", _reach(_DOT_UNIT, 0.0, 0.5, 9.0, 0.5), _shape(
+    _DOT_UNIT, lambda a: (circle(4.5 * a, 0.0, 4.5 * a),), Action.STROKE))
+_declare("diamond", _reach(_DIAMOND_UNIT, 13.0, 0.5, 1.0, 0.5), _shape(
+    _DIAMOND_UNIT, lambda a: (
+        move_to(a, 0.0),
+        line_to(-6.0 * a, 4.0 * a),
+        line_to(-13.0 * a, 0.0),
+        line_to(-6.0 * a, -4.0 * a),
+    ), Action.FILL_STROKE, _ROUND_JOIN, close=True))
+_declare("open diamond", _reach(_DIAMOND_UNIT, 0.0, 0.5, 14.0, 0.5), _shape(
+    _DIAMOND_UNIT, lambda a: (
+        move_to(14.0 * a, 0.0),
+        line_to(7.0 * a, 4.0 * a),
+        line_to(0.0, 0.0),
+        line_to(7.0 * a, -4.0 * a),
+    ), Action.STROKE, _ROUND_JOIN, close=True))
+_declare("triangle 90", _reach(_TRIANGLE_UNIT, 5.5, 0.5, 0.5, 0.707), _shape(
+    _TRIANGLE_UNIT, _arms_90, Action.FILL_STROKE, _MITER_JOIN, close=True))
 _declare_reversed("triangle 90")
-_declare("triangle 60", _reach(_TRIANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _TRIANGLE_60)
+_declare("triangle 60", _reach(_TRIANGLE_UNIT, 7.29, 0.5, 0.5, 1.0), _shape(
+    _TRIANGLE_UNIT, _arms_60, Action.FILL_STROKE, _MITER_JOIN, close=True))
 _declare_reversed("triangle 60")
-_declare("triangle 45", _reach(_TRIANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _TRIANGLE_45)
+_declare("triangle 45", _reach(_TRIANGLE_UNIT, 8.705, 0.5, 0.5, 1.28), _shape(
+    _TRIANGLE_UNIT, _arms_45, Action.FILL_STROKE, _MITER_JOIN, close=True))
 _declare_reversed("triangle 45")
-_declare("open triangle 90", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 6.0, 0.707), _OPEN_TRIANGLE_90)
-_declare("open triangle 90 reversed", _reach(_TRIANGLE_UNIT, 0.0, 0.707, 6.0, 0.5),
-         _OPEN_TRIANGLE_90_REVERSED)
-_declare("open triangle 60", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 7.794, 1.0), _OPEN_TRIANGLE_60)
-_declare("open triangle 60 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.0, 7.794, 0.5),
-         _OPEN_TRIANGLE_60_REVERSED)
-_declare("open triangle 45", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 9.205, 1.28), _OPEN_TRIANGLE_45)
-_declare("open triangle 45 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.28, 9.205, 0.5),
-         _OPEN_TRIANGLE_45_REVERSED)
-_declare("latex'", _reach(_CURVE_UNIT, 4.0, 0.0, 6.0, 0.0), _latex_prime_program)
+# The open triangles and their reversed forms are declared independently, not
+# as mirrors: each is a closed, stroked outline of its own arms.
+_declare("open triangle 90", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 6.0, 0.707), _shape(
+    _TRIANGLE_UNIT,
+    lambda a: (move_to(0.0, -6.0 * a), line_to(6.0 * a, 0.0), line_to(0.0, 6.0 * a)),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("open triangle 90 reversed", _reach(_TRIANGLE_UNIT, 0.0, 0.707, 6.0, 0.5), _shape(
+    _TRIANGLE_UNIT,
+    lambda a: (move_to(6.0 * a, -6.0 * a), line_to(0.0, 0.0), line_to(6.0 * a, 6.0 * a)),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("open triangle 60", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 7.794, 1.0), _shape(
+    _TRIANGLE_UNIT, lambda a: _vee_arm_ops(7.794 * a, 150.0, 9.0 * a),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("open triangle 60 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.0, 7.794, 0.5), _shape(
+    _TRIANGLE_UNIT, lambda a: _vee_arm_ops(0.0, 30.0, 9.0 * a),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("open triangle 45", _reach(_TRIANGLE_UNIT, 0.0, 0.5, 9.205, 1.28), _shape(
+    _TRIANGLE_UNIT, lambda a: _vee_arm_ops(9.205 * a, 157.0, 10.0 * a),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("open triangle 45 reversed", _reach(_TRIANGLE_UNIT, 0.0, 1.28, 9.205, 0.5), _shape(
+    _TRIANGLE_UNIT, lambda a: _vee_arm_ops(0.0, 23.0, 10.0 * a),
+    Action.STROKE, _MITER_JOIN, close=True))
+_declare("latex'", _reach(_CURVE_UNIT, 4.0, 0.0, 6.0, 0.0), _shape(
+    _CURVE_UNIT, lambda a: (
+        move_to(6.0 * a, 0.0),
+        curve_to(3.5 * a, 0.5 * a, -a, 1.5 * a, -4.0 * a, 3.75 * a),
+        curve_to(-1.5 * a, a, -1.5 * a, -a, -4.0 * a, -3.75 * a),
+        curve_to(-a, -1.5 * a, 3.5 * a, -0.5 * a, 6.0 * a, 0.0),
+    ), Action.FILL))
 _declare_reversed("latex'")
-_declare("stealth'", _reach(_CURVE_UNIT, 6.0, 0.5, 2.0, 0.5), _stealth_prime_program)
+_declare("stealth'", _reach(_CURVE_UNIT, 6.0, 0.5, 2.0, 0.5), _shape(
+    _CURVE_UNIT, lambda a: (
+        move_to(2.0 * a, 0.0),
+        curve_to(-0.5 * a, 0.5 * a, -3.0 * a, 1.5 * a, -6.0 * a, 3.25 * a),
+        curve_to(-3.0 * a, a, -3.0 * a, -a, -6.0 * a, -3.25 * a),
+        curve_to(-3.0 * a, -1.5 * a, -0.5 * a, -0.5 * a, 2.0 * a, 0.0),
+    ), Action.FILL_STROKE, _ROUND_JOIN, close=True))
 _declare_reversed("stealth'")
-_declare("left to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), partial(_to_program, sign=1.0))
-_declare("right to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), partial(_to_program, sign=-1.0))
+_declare("left to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), _shape(
+    _CURVE_UNIT, partial(_to_outline, sign=1.0), Action.STROKE,
+    SetLineWidthFactor(0.8), _ROUND_CAP, _ROUND_JOIN))
+_declare("right to", _reach(_ONE, 0.84, 1.3, 0.21, 0.625), _shape(
+    _CURVE_UNIT, partial(_to_outline, sign=-1.0), Action.STROKE,
+    SetLineWidthFactor(0.8), _ROUND_CAP, _ROUND_JOIN))
 _declare("left to reversed", _reach(_CURVE_UNIT, 0.0, 0.1, 3.75, 0.9),
          partial(_to_reversed_program, sign=1.0))
 _declare("right to reversed", _reach(_CURVE_UNIT, 0.0, 0.1, 3.75, 0.9),
          partial(_to_reversed_program, sign=-1.0))
-_declare("left hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), partial(_hook_program, sign=1.0))
+_declare("left hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), _shape(
+    _DOT_UNIT, partial(_hook_outline, sign=1.0), Action.STROKE, _ROUND_CAP))
 _declare_reversed("left hook")
-_declare("right hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), partial(_hook_program, sign=-1.0))
+_declare("right hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), _shape(
+    _DOT_UNIT, partial(_hook_outline, sign=-1.0), Action.STROKE, _ROUND_CAP))
 _declare_reversed("right hook")
-_declare("hooks", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5),
-         partial(_hook_program, sign=1.0, twin=True))
+_declare("hooks", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), _shape(
+    _DOT_UNIT, partial(_hook_outline, sign=1.0, twin=True), Action.STROKE, _ROUND_CAP))
 _declare_reversed("hooks")
-_declare("serif cm", _reach(_SERIF_UNIT, 0.75, 0.0, 0.0, 0.04), _serif_program)
-_declare("round cap", _round_cap_extents, _round_cap_program)
-_declare("butt cap", _reach(_ONE, 0.0, 0.1, 0.0, 0.5), _butt_cap_program)
-_declare("triangle 90 cap", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _triangle_cap_program)
-_declare("triangle 90 cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 1.0),
-         _triangle_cap_reversed_program)
-_declare("fast cap", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _fast_cap_program)
-_declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _fast_cap_reversed_program)
+_declare("serif cm", _reach(_SERIF_UNIT, 0.75, 0.0, 0.0, 0.04), _shape(
+    _SERIF_UNIT, lambda a: (
+        move_to(-0.75 * a, wl(0.5)),
+        curve_to(-0.375 * a, wl(0.5), -0.375 * a, wl(0.7), -0.375 * a, 1.95 * a),
+        line_to(0.0, 1.95 * a),
+        curve_to(wl(-0.04), 0.5 * a, wl(-0.04), -0.5 * a, 0.0, -1.95 * a),
+        line_to(-0.375 * a, -1.95 * a),
+        curve_to(-0.375 * a, wl(-0.7), -0.375 * a, wl(-0.5), -0.75 * a, wl(-0.5)),
+    ), Action.FILL, translate(wl(0.04)), close=True))
+_declare("round cap", _round_cap_extents, _shape(
+    _ONE, lambda a: (move_to(0.0, 0.0), line_to(wl(0.5), 0.0)), Action.STROKE, _ROUND_CAP))
+_declare("butt cap", _reach(_ONE, 0.0, 0.1, 0.0, 0.5), _shape(
+    _ONE, lambda a: (move_to(wl(-0.1), 0.0), line_to(wl(0.5), 0.0)), Action.STROKE,
+    SetCap(LineCap.BUTT)))
+_declare("triangle 90 cap", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _filled_cap(_TRIANGLE_CAP_POINTS))
+_declare("triangle 90 cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _filled_cap(
+    ((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0))))
+_declare("fast cap", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _filled_cap(
+    _TRIANGLE_CAP_POINTS,
+    ((1.0, 0.5), (1.5, 0.5), (2.0, 0.0), (1.5, -0.5), (1.0, -0.5), (1.5, 0.0)),
+    close=True))
+_declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _filled_cap(
+    ((-0.1, 0.5), (1.0, 0.5), (0.5, 0.0), (1.0, -0.5), (-0.1, -0.5)),
+    ((1.5, 0.5), (2.0, 0.5), (1.5, 0.0), (2.0, -0.5), (1.5, -0.5), (1.0, 0.0)),
+    close=True))
 
 
 # --- public API -------------------------------------------------------------------
@@ -593,10 +499,10 @@ def lookup(name: str, side: Side) -> TipId:
 def extents(tip: TipId, w: float) -> Extents:
     """Signed horizontal reach of ``tip`` at stroke width ``w``; ValueError if it overflows."""
     check_width(w)
-    e = tip.definition.extents_fn(w)
-    if not (math.isfinite(e.left) and math.isfinite(e.right)):
+    left, right = tip.definition.extents_fn(w)
+    if not (math.isfinite(left) and math.isfinite(right)):
         raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
-    return e
+    return Extents(left, right)
 
 
 def program(tip: TipId, w: float) -> RenderProgram:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arrowtips._tips import PLACED
 from arrowtips.catalog import (
+    Extents,
     NoReversalError,
     Side,
     UnknownTipError,
@@ -354,3 +355,25 @@ def test_extents_are_pinned_to_the_bit_at_extreme_widths():
     assert math.copysign(1.0, extents(lookup("o", Side.END), 5e-324).left) == -1.0
     assert math.copysign(1.0, extents(lookup("round cap", Side.END), 5e-324).left) == 1.0
     assert _extreme_extents_digest() == EXTREME_EXTENTS_DIGEST
+
+
+def test_extents_builds_one_record_per_call(monkeypatch):
+    # An extents function returns a (left, right) pair, and ``extents`` alone
+    # builds the record, so a mirror does not build its original's record too.
+    builds = []
+    init = Extents.__init__
+
+    def counted(self, left, right):
+        builds.append(self)
+        init(self, left, right)
+
+    monkeypatch.setattr(Extents, "__init__", counted)
+    per_call = {}
+    for definition in registry():
+        counts = []
+        for name, side in ((definition.start_name, Side.START), (definition.end_name, Side.END)):
+            builds.clear()
+            extents(lookup(name, side), 0.8)
+            counts.append(len(builds))
+        per_call[definition.end_name] = tuple(counts)
+    assert {name: counts for name, counts in per_call.items() if counts != (1, 1)} == {}

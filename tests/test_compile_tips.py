@@ -8,7 +8,6 @@ import pytest
 
 from arrowtips import _tips
 from arrowtips.catalog import (
-    Extents,
     Side,
     TipDefinition,
     declared_reversals,
@@ -107,7 +106,7 @@ def test_generated_evaluators_equal_the_interpreter_for_every_placement():
 
 
 def _definition(program_fn):
-    return TipDefinition("bad", "bad", lambda w: Extents(0.0, w), program_fn)
+    return TipDefinition("bad", "bad", lambda w: (0.0, w), program_fn)
 
 
 MALFORMED = {
