@@ -29,7 +29,7 @@ import sys
 from typing import Iterator, Union
 
 from . import catalog
-from ._record import Record, store
+from ._record import Record, setters
 from ._tips import BOUND, PLACED
 from .catalog import Side, TipId
 from .geometry import AffineTransform, Point
@@ -52,18 +52,25 @@ class LineSegment(Record):
     __slots__ = __match_args__ = ("start", "end")
 
     def __init__(self, start: Point, end: Point) -> None:
-        store(self, "start", start)
-        store(self, "end", end)
+        _set_line_start(self, start)
+        _set_line_end(self, end)
+
+
+_set_line_start, _set_line_end = setters(LineSegment)
 
 
 class CubicSegment(Record):
     __slots__ = __match_args__ = ("start", "control1", "control2", "end")
 
     def __init__(self, start: Point, control1: Point, control2: Point, end: Point) -> None:
-        store(self, "start", start)
-        store(self, "control1", control1)
-        store(self, "control2", control2)
-        store(self, "end", end)
+        _set_cubic_start(self, start)
+        _set_cubic_control1(self, control1)
+        _set_cubic_control2(self, control2)
+        _set_cubic_end(self, end)
+
+
+_set_cubic_start, _set_cubic_control1, _set_cubic_control2, _set_cubic_end = (
+    setters(CubicSegment))
 
 
 Segment = Union[LineSegment, CubicSegment]
@@ -83,18 +90,27 @@ class HostPath(Record):
     __slots__ = __match_args__ = ("segments",)
 
     def __init__(self, segments: tuple[Segment, ...]) -> None:
-        store(self, "segments", tuple(segments))
-        if not self.segments:
+        segments = tuple(segments)
+        _set_host_segments(self, segments)
+        if not segments:
             raise ValueError("host path needs at least one segment")
         # A cut's kept segment holds the very endpoint it shares, so identity
         # answers first; equality decides only between distinct points.
-        for i in range(len(self.segments) - 1):
-            end, start = self.segments[i].end, self.segments[i + 1].start
+        for i in range(len(segments) - 1):
+            end, start = segments[i].end, segments[i + 1].start
             if not (end is start or end == start):
                 raise ValueError(f"segments {i} and {i + 1} do not share an endpoint")
-        origin = self.segments[0].start
-        if all(p is origin or p == origin for seg in self.segments for p in _segment_points(seg)):
-            raise DegeneratePathError("all path points coincide")
+        # Points are finite, so equal coordinates are exactly equal points.
+        origin = segments[0].start
+        x, y = origin.x, origin.y
+        for segment in segments:
+            for p in _segment_points(segment):
+                if p.x != x or p.y != y:
+                    return
+        raise DegeneratePathError("all path points coincide")
+
+
+(_set_host_segments,) = setters(HostPath)
 
 
 def _segment_points(segment: Segment) -> tuple[Point, ...]:

@@ -32,7 +32,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from ._record import Record, store
+from ._record import Record, setters
 from ._tips import PLACED
 from .pathmodel import (
     Action,
@@ -70,8 +70,11 @@ class Extents(Record):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: float, right: float) -> None:
-        store(self, "left", left)
-        store(self, "right", right)
+        _set_extents_left(self, left)
+        _set_extents_right(self, right)
+
+
+_set_extents_left, _set_extents_right = setters(Extents)
 
 
 class TipDefinition(Record):
@@ -91,13 +94,16 @@ class TipId(Record):
     __slots__ = __match_args__ = ("definition", "side")
 
     def __init__(self, definition: TipDefinition, side: Side) -> None:
-        store(self, "definition", definition)
-        store(self, "side", side)
+        _set_tip_definition(self, definition)
+        _set_tip_side(self, side)
 
     @property
     def name(self) -> str:
         return (self.definition.start_name if self.side is Side.START
                 else self.definition.end_name)
+
+
+_set_tip_definition, _set_tip_side = setters(TipId)
 
 
 class UnknownTipError(LookupError):

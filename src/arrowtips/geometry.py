@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, store
+from ._record import Record, setters
 
 
 class Point(Record):
@@ -16,13 +16,16 @@ class Point(Record):
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"point components must be finite, got ({x}, {y})")
-        store(self, "x", x)
-        store(self, "y", y)
+        _set_point_x(self, x)
+        _set_point_y(self, y)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.x, self.y) == (other.x, other.y)
+
+
+_set_point_x, _set_point_y = setters(Point)
 
 
 class AffineTransform(Record):

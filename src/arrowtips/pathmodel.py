@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Union
 
-from ._record import Record, store
+from ._record import Record, setters
 from .geometry import AffineTransform
 
 
@@ -32,14 +32,17 @@ class Scalar(Record):
     __slots__ = __match_args__ = ("fixed", "widths")
 
     def __init__(self, fixed: float, widths: float = 0.0) -> None:
-        store(self, "fixed", fixed)
-        store(self, "widths", widths)
+        _set_scalar_fixed(self, fixed)
+        _set_scalar_widths(self, widths)
 
     def resolve(self, register: float) -> float:
         return self.fixed + self.widths * register
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.fixed, -self.widths)
+
+
+_set_scalar_fixed, _set_scalar_widths = setters(Scalar)
 
 
 Coord = Union[float, Scalar]
@@ -101,12 +104,15 @@ class _PointOp(_PathOp):
     __slots__ = __match_args__ = ("x", "y")
 
     def __init__(self, x: Coord, y: Coord) -> None:
-        store(self, "x", x)
-        store(self, "y", y)
+        _set_point_op_x(self, x)
+        _set_point_op_y(self, y)
 
     @property
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
         return ((self.x, self.y),)
+
+
+_set_point_op_x, _set_point_op_y = setters(_PointOp)
 
 
 class MoveTo(_PointOp):
@@ -126,16 +132,20 @@ class CurveTo(_PathOp):
 
     def __init__(self, c1x: Coord, c1y: Coord, c2x: Coord, c2y: Coord, x: Coord,
                  y: Coord) -> None:
-        store(self, "c1x", c1x)
-        store(self, "c1y", c1y)
-        store(self, "c2x", c2x)
-        store(self, "c2y", c2y)
-        store(self, "x", x)
-        store(self, "y", y)
+        _set_curve_c1x(self, c1x)
+        _set_curve_c1y(self, c1y)
+        _set_curve_c2x(self, c2x)
+        _set_curve_c2y(self, c2y)
+        _set_curve_x(self, x)
+        _set_curve_y(self, y)
 
     @property
     def pairs(self) -> tuple[tuple[Coord, Coord], ...]:
         return ((self.c1x, self.c1y), (self.c2x, self.c2y), (self.x, self.y))
+
+
+_set_curve_c1x, _set_curve_c1y, _set_curve_c2x, _set_curve_c2y, _set_curve_x, _set_curve_y = (
+    setters(CurveTo))
 
 
 class ClosePath(_PathOp):
@@ -165,7 +175,10 @@ class SetLineWidthFactor(Record):
     def __init__(self, factor: float) -> None:
         if not factor > 0:
             raise ValueError(f"width factor must be positive, got {factor}")
-        store(self, "factor", factor)
+        _set_width_factor(self, factor)
+
+
+(_set_width_factor,) = setters(SetLineWidthFactor)
 
 
 class Translate(Record):
@@ -208,7 +221,10 @@ class RenderProgram(Record):
     __slots__ = __match_args__ = ("ops",)
 
     def __init__(self, ops: Iterable[Op]) -> None:
-        store(self, "ops", tuple(ops))
+        _set_program_ops(self, tuple(ops))
+
+
+(_set_program_ops,) = setters(RenderProgram)
 
 
 class ProgramError(ValueError):
@@ -227,11 +243,15 @@ class Drawable(Record):
 
     def __init__(self, outline: tuple[PathOp, ...], width: float, cap: LineCap,
                  join: LineJoin, action: Action) -> None:
-        store(self, "outline", outline)
-        store(self, "width", width)
-        store(self, "cap", cap)
-        store(self, "join", join)
-        store(self, "action", action)
+        _set_drawable_outline(self, outline)
+        _set_drawable_width(self, width)
+        _set_drawable_cap(self, cap)
+        _set_drawable_join(self, join)
+        _set_drawable_action(self, action)
+
+
+(_set_drawable_outline, _set_drawable_width, _set_drawable_cap, _set_drawable_join,
+ _set_drawable_action) = setters(Drawable)
 
 
 Scene = tuple[Drawable, ...]

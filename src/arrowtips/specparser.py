@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import catalog
-from ._record import Record, store
+from ._record import Record, setters
 from .catalog import Side, UnknownTipError
 
 
@@ -21,8 +21,11 @@ class ArrowSpec(Record):
     __slots__ = __match_args__ = ("start", "end")
 
     def __init__(self, start: Optional[str] = None, end: Optional[str] = None) -> None:
-        store(self, "start", start)
-        store(self, "end", end)
+        _set_spec_start(self, start)
+        _set_spec_end(self, end)
+
+
+_set_spec_start, _set_spec_end = setters(ArrowSpec)
 
 
 class SpecSyntaxError(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -44,6 +45,7 @@ from arrowtips.catalog import (
 from arrowtips.geometry import AffineTransform, Point, apply
 from arrowtips.pathmodel import Action, LineCap, evaluate, transform_program
 from arrowtips.specparser import ArrowSpec, parse
+from arrowtips.svg import format_number
 
 
 def line_host(x0=0.0, y0=0.0, x1=100.0, y1=0.0):
@@ -72,6 +74,24 @@ def test_fully_coincident_path_is_degenerate():
         HostPath((LineSegment(p, p),))
     with pytest.raises(DegeneratePathError):
         HostPath((CubicSegment(p, p, p, p),))
+
+
+def test_points_that_compare_equal_make_a_degenerate_path():
+    # Distinct objects, and -0.0 == 0.0: equality of coordinates decides.
+    with pytest.raises(DegeneratePathError):
+        HostPath((LineSegment(Point(0.0, 0.0), Point(-0.0, 0.0)),))
+    with pytest.raises(DegeneratePathError):
+        HostPath((LineSegment(Point(2.0, 3.0), Point(2.0, 3.0)),
+                  CubicSegment(Point(2.0, 3.0), Point(2.0, 3.0), Point(2.0, 3.0), Point(2.0, 3.0))))
+
+
+def test_one_distinct_point_anywhere_makes_a_path_proper():
+    p = Point(1.0, 1.0)
+    for control1, control2 in ((Point(1.0, 2.0), p), (p, Point(2.0, 1.0))):
+        assert HostPath((CubicSegment(p, control1, control2, p),)).segments[0].control1 is control1
+    end = Point(1.0, -1.0)
+    path = HostPath((LineSegment(p, p), CubicSegment(p, p, p, p), LineSegment(p, end)))
+    assert path.segments[-1].end is end
 
 
 def test_line_tangents_are_exact():
@@ -813,3 +833,61 @@ def test_decorate_rejects_unknown_names():
 def test_decorate_rejects_nonpositive_width():
     with pytest.raises(ValueError):
         decorate(line_host(), parse("-latex'"), 0.0)
+
+
+# The digest of _pinned_cubic_lines over every seeded case below.
+CUBIC_SCENES_SHA256 = "65ef0985d71a387a67ade05399ab04311498c4b8a6c8ecbbbaa21447ba6bf76b"
+
+
+def _seeded_host(rng):
+    """One to three segments from a random start, each a cubic with probability 3/4.
+
+    Each point lies within a random reach of the last end, so that some
+    hosts are too short for their tips.
+    """
+    reach = rng.uniform(1.0, 40.0)
+
+    def near(p):
+        return Point(p.x + rng.uniform(-reach, reach), p.y + rng.uniform(-reach, reach))
+
+    start = Point(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+    segments = []
+    for _ in range(rng.randint(1, 3)):
+        end = near(start)
+        if rng.random() < 0.75:
+            segments.append(CubicSegment(start, near(start), near(end), end))
+        else:
+            segments.append(LineSegment(start, end))
+        start = end
+    return HostPath(tuple(segments))
+
+
+def _pinned_cubic_lines(host, spec, w):
+    """Each drawable's width and each op's type and coordinates, as the SVG prints them."""
+    try:
+        scene = decorate(host, spec, w)
+    except PathTooShortError:
+        yield "too short"
+        return
+    for drawable in scene:
+        yield f"width {format_number(drawable.width)}"
+        for op in drawable.outline:
+            values = (format_number(getattr(op, name)) for name in op.__match_args__)
+            yield " ".join((type(op).__name__, *values))
+
+
+def test_decorated_cubic_hosts_are_pinned_as_printed():
+    # Printed precision, not bits: a change that moves only low bits of a cut
+    # keeps this digest, and one that moves a printed coordinate fails it.
+    rng = random.Random(2026)
+    starts, ends = start_names(), end_names()
+    digest = hashlib.sha256()
+    for _ in range(400):
+        host = _seeded_host(rng)
+        sides = rng.choice(("start", "end", "both"))
+        start = rng.choice(starts) if sides != "end" else None
+        end = rng.choice(ends) if sides != "start" else None
+        w = rng.uniform(0.2, 2.0)
+        for line in _pinned_cubic_lines(host, ArrowSpec(start, end), w):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CUBIC_SCENES_SHA256

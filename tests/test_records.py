@@ -262,7 +262,7 @@ def test_the_shared_constructor_rejects_what_the_dataclass_rejected(make):
 # The classes whose constructor checks, converts or defaults a field.
 CHECKED = {Point, HostPath, RenderProgram, SetLineWidthFactor, Scalar, ArrowSpec}
 # A class that a benchmark op builds this often per arrow writes its own
-# constructor; the shared one costs about a microsecond more per build.
+# constructor; the shared one costs one to two microseconds more per build.
 HOT = 0.5
 CUBIC = HostPath((CubicSegment(O, Point(30.0, 40.0), Point(70.0, 40.0), Point(100.0, 0.0)),))
 
