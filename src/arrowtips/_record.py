@@ -11,28 +11,20 @@ one for two fields, and 1.9 us for six, so a class writes its own
 ``__init__`` only if it checks, converts or defaults a field (``Point``,
 ``HostPath``, ``RenderProgram``, ``SetLineWidthFactor``, ``Scalar``,
 ``ArrowSpec``), or if a benchmark op builds it about once per arrow or more;
-``tests/test_records.py`` counts the builds.  ``Point``, which a host path
-compares, writes its own ``__eq__`` for speed.
+``tests/test_records.py`` counts the builds.
 
 A hand-written ``__init__`` stores each field through its class's slot
 descriptor, bound once at module level by ``setters``: about 55 ns a field,
 against about 110 ns for ``object.__setattr__``, which finds the slot by
 name on every call.  A ``CurveTo``, with six fields, then builds in about
 0.55 us instead of 0.8 us, and every arrow builds dozens of points, path
-ops and drawables.  ``store`` remains only for the shared ``Record.__init__``,
-which reads its field names at run time.
+ops and drawables.
 
-The resolved path ops (``MoveTo``, ``LineTo``, ``CurveTo``, ``ClosePath``,
-``Circle``) serve ``__dataclass_fields__`` from their dataclass form, made on
-first read, so ``dataclasses.fields(op)`` works.  ``dataclasses`` is imported
-only there and where ``FrozenInstanceError`` is raised, so a CLI process does
-not load it.
+``dataclasses`` is imported only where ``FrozenInstanceError`` is raised, so
+a CLI process does not load it.
 """
 
 from __future__ import annotations
-
-# How the shared ``__init__`` stores a field past the record's ``__setattr__``.
-store = object.__setattr__
 
 
 def setters(cls: type) -> tuple:
@@ -62,7 +54,7 @@ class Record:
         if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
             raise TypeError(f"{self.__class__.__qualname__}() takes {', '.join(names)}")
         for name in names:
-            store(self, name, values[name])
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

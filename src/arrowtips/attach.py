@@ -94,13 +94,11 @@ class HostPath(Record):
         _set_host_segments(self, segments)
         if not segments:
             raise ValueError("host path needs at least one segment")
-        # A cut's kept segment holds the very endpoint it shares, so identity
-        # answers first; equality decides only between distinct points.
+        # Points are finite, so equal coordinates are exactly equal points.
         for i in range(len(segments) - 1):
             end, start = segments[i].end, segments[i + 1].start
-            if not (end is start or end == start):
+            if end.x != start.x or end.y != start.y:
                 raise ValueError(f"segments {i} and {i + 1} do not share an endpoint")
-        # Points are finite, so equal coordinates are exactly equal points.
         origin = segments[0].start
         x, y = origin.x, origin.y
         for segment in segments:
@@ -464,11 +462,5 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     if spec.start is not None:
         shortened, start_scene = attach(shortened, Side.START,
                                         catalog.lookup(spec.start, Side.START), w)
-    host = Drawable(
-        outline=path_outline(shortened),
-        width=w,
-        cap=LineCap.BUTT,
-        join=LineJoin.MITER,
-        action=Action.STROKE,
-    )
+    host = Drawable(path_outline(shortened), w, LineCap.BUTT, LineJoin.MITER, Action.STROKE)
     return (host, *start_scene, *end_scene)

@@ -11,18 +11,12 @@ class Point(Record):
     """A position or direction vector with finite components."""
 
     __slots__ = __match_args__ = ("x", "y")
-    __hash__ = Record.__hash__  # which writing __eq__ below would drop
 
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"point components must be finite, got ({x}, {y})")
         _set_point_x(self, x)
         _set_point_y(self, y)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
 
 
 _set_point_x, _set_point_y = setters(Point)

@@ -79,23 +79,10 @@ class Action(Enum):
     FILL_STROKE = "fillstroke"
 
 
-class _Fields:
-    """``__dataclass_fields__``, for ``dataclasses.fields``: on first read, the
-    field table of the op's frozen dataclass form, then cached on its class."""
-
-    def __get__(self, op: object, cls: type) -> dict:
-        from dataclasses import make_dataclass
-
-        cls.__dataclass_fields__ = make_dataclass(cls.__name__, cls.__match_args__,
-                                                  frozen=True).__dataclass_fields__
-        return cls.__dataclass_fields__
-
-
 class _PathOp(Record):
     """A resolved path op."""
 
     __slots__ = ()
-    __dataclass_fields__ = _Fields()
 
 
 class _PointOp(_PathOp):

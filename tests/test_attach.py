@@ -94,6 +94,34 @@ def test_one_distinct_point_anywhere_makes_a_path_proper():
     assert path.segments[-1].end is end
 
 
+def _line_cubic_line(first, second):
+    """A line, a cubic and a line; each joint is given as (end of one, start of the next)."""
+    return HostPath((LineSegment(Point(0.0, 0.0), first[0]),
+                     CubicSegment(first[1], Point(15.0, 10.0), Point(25.0, 10.0), second[0]),
+                     LineSegment(second[1], Point(50.0, 5.0))))
+
+
+def test_host_joints_compare_by_value():
+    # Distinct objects, and -0.0 == 0.0: a joint is shared when its coordinates are equal.
+    HostPath((LineSegment(Point(-5.0, 0.0), Point(0.0, 0.0)),
+              LineSegment(Point(-0.0, 0.0), Point(5.0, 0.0))))
+    a, b = Point(10.0, 0.0), Point(30.0, 5.0)
+    shared = _line_cubic_line((a, a), (b, b))
+    distinct = _line_cubic_line((Point(10.0, 0.0), Point(10.0, 0.0)),
+                                (Point(30.0, 5.0), Point(30.0, 5.0)))
+    for side in (Side.START, Side.END):
+        assert shorten(distinct, side, 25.0).segments == shorten(shared, side, 25.0).segments
+    assert Point(0.0, 1.0) == Point(-0.0, 1.0)
+    assert hash(Point(0.0, 1.0)) == hash(Point(-0.0, 1.0))
+
+
+@pytest.mark.parametrize("x,y", [(math.nextafter(10.0, 11.0), 0.0), (10.0, 5e-324)])
+def test_a_joint_one_ulp_apart_is_not_shared(x, y):
+    with pytest.raises(ValueError, match="segments 0 and 1 do not share an endpoint"):
+        HostPath((LineSegment(Point(0.0, 0.0), Point(10.0, 0.0)),
+                  LineSegment(Point(x, y), Point(20.0, 0.0))))
+
+
 def test_line_tangents_are_exact():
     path = line_host()
     assert end_tangent(path, Side.END) == Point(1.0, 0.0)

@@ -4,7 +4,6 @@ A change to evaluation, mirroring or placement that moves any float, even
 below the four decimals the SVG prints, fails here.
 """
 
-import dataclasses
 import hashlib
 
 from arrowtips.attach import HostPath, LineSegment, decorate
@@ -29,7 +28,7 @@ def _scene_lines(scene):
         yield " ".join((drawable.action.value, drawable.cap.value, drawable.join.value,
                         float.hex(drawable.width)))
         for op in drawable.outline:
-            values = (getattr(op, field.name) for field in dataclasses.fields(op))
+            values = (getattr(op, name) for name in op.__match_args__)
             yield " ".join((type(op).__name__, *(float.hex(v) for v in values)))
 
 

@@ -16,8 +16,8 @@ import pytest
 from arrowtips.catalog import Side, UnknownTipError, lookup
 
 # The xml.sax.saxutils -> urllib.request chain; difflib, which only a
-# misspelled tip name needs; and dataclasses with the inspect it loads, which
-# only a caller of dataclasses.fields on a path op needs.
+# misspelled tip name needs; and dataclasses, with the inspect it loads, which
+# arrowtips loads only to raise FrozenInstanceError on a write to a record.
 UNUSED = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "difflib",
           "dataclasses", "inspect")
 

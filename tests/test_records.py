@@ -92,7 +92,6 @@ CASES = [
     (Circle, {"cx": 1.0, "cy": 2.0, "radius": 0.5}, {"cx": -1.0, "cy": 0.0, "radius": 1.5}),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
-PATH_OPS = {MoveTo, LineTo, CurveTo, ClosePath, Circle}
 # Entries are registry singletons: a definition equals only itself.
 BY_IDENTITY = {TipDefinition}
 
@@ -317,17 +316,6 @@ def test_no_record_has_an_instance_dict():
         # Each class slots the fields it adds: a move or a line adds none.
         assert cls.__slots__ == (() if cls in (MoveTo, LineTo) else cls.__match_args__)
         assert not hasattr(cls(**fields), "__dict__")
-
-
-@pytest.mark.parametrize("cls,fields", [case[:2] for case in CASES if case[0] in PATH_OPS],
-                         ids=[cls.__name__ for cls, *_ in CASES if cls in PATH_OPS])
-def test_a_path_op_gives_its_fields_to_dataclasses_fields(cls, fields):
-    op = cls(*fields.values())
-    assert op._values() == tuple(fields.values())
-    names = [field.name for field in dataclasses.fields(_dataclass_form(cls, fields))]
-    assert [field.name for field in dataclasses.fields(op)] == names == list(fields)
-    assert [field.name for field in dataclasses.fields(cls)] == names
-    assert dataclasses.is_dataclass(op) and dataclasses.astuple(op) == tuple(fields.values())
 
 
 @pytest.mark.parametrize("make,error,message", [
