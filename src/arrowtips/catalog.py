@@ -11,10 +11,9 @@ To add a tip, write its outline as a function of its base unit ``a``.  Then
 ``_declare`` it in the registry section with its reach as one ``_reach``
 row (how many base units and widths it reaches behind and past its front)
 and, next to it, its drawing as one ``_shape`` row (the unit, the outline,
-the paint, the state ops set before the outline, and whether it closes).
-Write a program function of w only for a shape that ``_shape`` cannot state:
-``_bracket_program`` also draws in ``a + w``, ``_to_reversed_program``
-strokes twice, and ``_filled_cap`` closes each subpath, in widths.  Build no
+the paint, the state ops set before the outline, and whether it closes).  A
+drawing in two units takes ``_width`` as its unit and computes them from w.
+Only ``_to_reversed_program``, which strokes twice, is written out.  Build no
 program at import.  Then rerun ``scripts/compile_tips.py``.
 
 Reversed forms declared as mirrors of an original, with
@@ -151,6 +150,10 @@ _BRACKET_UNIT = _unit(1.0, 1.25)
 _ONE = _unit(1.0, 0.0)            # tips measured in points and widths alone
 
 
+def _width(w: float) -> float:  # the unit of a drawing that computes its own units
+    return w
+
+
 def _reach(unit: Callable[[float], float], back: float, back_w: float,
            front: float, front_w: float) -> Callable[[float], tuple[float, float]]:
     """Extents function of a tip that reaches behind and past its front.
@@ -169,6 +172,7 @@ def _reach(unit: Callable[[float], float], back: float, back_w: float,
 
 # Ops that many rows share.  An op is immutable, so one instance serves all.
 _ROUND_CAP = SetCap(LineCap.ROUND)
+_BUTT_CAP = SetCap(LineCap.BUTT)
 _MITER_JOIN = SetJoin(LineJoin.MITER)
 _ROUND_JOIN = SetJoin(LineJoin.ROUND)
 _CLOSE = ClosePath()
@@ -176,10 +180,11 @@ _CLOSE = ClosePath()
 
 def _shape(unit: Callable[[float], float], outline: Callable[[float], tuple], action: Action,
            *state, close: bool = False) -> Callable[[float], RenderProgram]:
-    """Program function of a tip drawn as one outline in one base unit.
+    """Program function of a tip drawn as one outline and painted once.
 
     At width w the program sets ``state``, draws ``outline(unit(w))``, closes
-    it if ``close``, and paints it once with ``action``.
+    it if ``close``, and paints it once with ``action``.  A drawing in two
+    units takes ``_width``.  Only ``_to_reversed_program`` is written out.
     """
     closing = (_CLOSE,) * close
 
@@ -237,31 +242,30 @@ def _hook_arc_ops(a: float, sign: float):
     )
 
 
-def _hook_outline(a: float, sign: float, twin: bool = False):
-    """A hook bending toward ``sign`` y; with ``twin``, also its mirror image."""
-    ops = (move_to(0.0, 0.0), line_to(0.75 * a, 0.0), *_hook_arc_ops(a, sign))
-    if twin:
-        ops += (move_to(0.75 * a, 0.0), *_hook_arc_ops(a, -1.0))
-    return ops
+def _hook_outline(a: float, sign: float):
+    """A hook bending toward ``sign`` y."""
+    return (move_to(0.0, 0.0), line_to(0.75 * a, 0.0), *_hook_arc_ops(a, sign))
 
 
-# --- drawings that _shape cannot state ----------------------------------------
-
-def _bracket_program(w: float) -> RenderProgram:
-    # Written out: it draws in a second unit, a + w.  The drawing unit is
-    # larger than the extents unit of its _reach row, so the drawn bracket
-    # overhangs its declared extents.  Kept as declared.
+def _bracket_outline(w: float):
+    # Drawn in two units, a and a + w.  The drawing unit is larger than the
+    # extents unit of its _reach row, so the drawn bracket overhangs its
+    # declared extents.  Kept as declared.
     a = _PAREN_UNIT(w)
     b = a + w
-    return RenderProgram((
-        SetJoin(LineJoin.MITER), SetCap(LineCap.BUTT),
-        move_to(-0.5 * b, -a),
-        line_to(0.0, -a),
-        line_to(0.0, a),
-        line_to(-0.5 * b, a),
-        Action.STROKE,
-    ))
+    return (move_to(-0.5 * b, -a), line_to(0.0, -a), line_to(0.0, a), line_to(-0.5 * b, a))
 
+
+def _in_widths(*points: tuple[float, float]):
+    """A move to the first point and lines to the rest, each in line widths."""
+    (x, y), *rest = points
+    return (move_to(wl(x), wl(y)), *(line_to(wl(x), wl(y)) for x, y in rest))
+
+
+_TRIANGLE_CAP_POINTS = ((-0.1, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, -0.5), (-0.1, -0.5))
+
+
+# --- the one drawing that _shape cannot state -----------------------------------
 
 def _to_reversed_program(w: float, sign: float) -> RenderProgram:
     # Written out: it strokes twice.  Tail stub at full width, then the barb
@@ -270,11 +274,11 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
     # differing final y, as declared.
     a = _CURVE_UNIT(w)
     return RenderProgram((
-        SetJoin(LineJoin.ROUND), SetCap(LineCap.BUTT),
+        _ROUND_JOIN, _BUTT_CAP,
         move_to(wl(0.5), 0.0),
         line_to(wl(-0.1), 0.0),
         Action.STROKE,
-        SetCap(LineCap.ROUND),
+        _ROUND_CAP,
         SetLineWidthFactor(0.8),
         translate(wl(0.625)),
         move_to(3.75 * a, sign * 4.0 * a),
@@ -283,28 +287,6 @@ def _to_reversed_program(w: float, sign: float) -> RenderProgram:
         curve_to(3.5 * a, sign * 2.5 * a, 0.75 * a, sign * 0.25 * a, 0.0, wl(-sign * 0.125)),
         Action.STROKE,
     ))
-
-
-def _filled_cap(*subpaths: tuple, close: bool = False) -> Callable[[float], RenderProgram]:
-    """Program function of a filled cap outline whose points are in line widths.
-
-    Written out: it may draw several subpaths and closes each one.  Each
-    subpath is a table of (x, y) points: a move to the first, lines to the
-    rest, and with ``close`` a closing segment.
-    """
-
-    def program(w: float) -> RenderProgram:
-        ops = []
-        for (x, y), *rest in subpaths:
-            ops.append(move_to(wl(x), wl(y)))
-            ops += (line_to(wl(x), wl(y)) for x, y in rest)
-            if close:
-                ops.append(ClosePath())
-        return RenderProgram((*ops, Action.FILL))
-    return program
-
-
-_TRIANGLE_CAP_POINTS = ((-0.1, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, -0.5), (-0.1, -0.5))
 
 
 def _round_cap_extents(w: float) -> tuple[float, float]:
@@ -351,7 +333,8 @@ def _declare_reversed(original_end: str, start: str | None = None,
 
 # Each row: the names, the reach, then the drawing.
 
-_declare("[", _reach(_BRACKET_UNIT, 1.0, 0.0, 0.0, 0.5), _bracket_program, "]")
+_declare("[", _reach(_BRACKET_UNIT, 1.0, 0.0, 0.0, 0.5), _shape(
+    _width, _bracket_outline, Action.STROKE, _MITER_JOIN, _BUTT_CAP), "]")
 _declare_reversed("]", "]", "[")
 _declare("(", _reach(_PAREN_UNIT, 0.5, 0.5, 0.0625, 0.5), _shape(
     _PAREN_UNIT, lambda a: (
@@ -450,7 +433,8 @@ _declare("right hook", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), _shape(
     _DOT_UNIT, partial(_hook_outline, sign=-1.0), Action.STROKE, _ROUND_CAP))
 _declare_reversed("right hook")
 _declare("hooks", _reach(_DOT_UNIT, 0.0, 0.5, 3.75, 0.5), _shape(
-    _DOT_UNIT, partial(_hook_outline, sign=1.0, twin=True), Action.STROKE, _ROUND_CAP))
+    _DOT_UNIT, lambda a: (*_hook_outline(a, 1.0), move_to(0.75 * a, 0.0), *_hook_arc_ops(a, -1.0)),
+    Action.STROKE, _ROUND_CAP))
 _declare_reversed("hooks")
 _declare("serif cm", _reach(_SERIF_UNIT, 0.75, 0.0, 0.0, 0.04), _shape(
     _SERIF_UNIT, lambda a: (
@@ -464,19 +448,22 @@ _declare("serif cm", _reach(_SERIF_UNIT, 0.75, 0.0, 0.0, 0.04), _shape(
 _declare("round cap", _round_cap_extents, _shape(
     _ONE, lambda a: (move_to(0.0, 0.0), line_to(wl(0.5), 0.0)), Action.STROKE, _ROUND_CAP))
 _declare("butt cap", _reach(_ONE, 0.0, 0.1, 0.0, 0.5), _shape(
-    _ONE, lambda a: (move_to(wl(-0.1), 0.0), line_to(wl(0.5), 0.0)), Action.STROKE,
-    SetCap(LineCap.BUTT)))
-_declare("triangle 90 cap", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _filled_cap(_TRIANGLE_CAP_POINTS))
-_declare("triangle 90 cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _filled_cap(
-    ((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0))))
-_declare("fast cap", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _filled_cap(
-    _TRIANGLE_CAP_POINTS,
-    ((1.0, 0.5), (1.5, 0.5), (2.0, 0.0), (1.5, -0.5), (1.0, -0.5), (1.5, 0.0)),
-    close=True))
-_declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _filled_cap(
-    ((-0.1, 0.5), (1.0, 0.5), (0.5, 0.0), (1.0, -0.5), (-0.1, -0.5)),
-    ((1.5, 0.5), (2.0, 0.5), (1.5, 0.0), (2.0, -0.5), (1.5, -0.5), (1.0, 0.0)),
-    close=True))
+    _ONE, lambda a: (move_to(wl(-0.1), 0.0), line_to(wl(0.5), 0.0)), Action.STROKE, _BUTT_CAP))
+_declare("triangle 90 cap", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _shape(
+    _ONE, lambda a: _in_widths(*_TRIANGLE_CAP_POINTS), Action.FILL))
+_declare("triangle 90 cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 1.0), _shape(
+    _ONE, lambda a: _in_widths((1.0, 0.5), (-0.1, 0.5), (-0.1, -0.5), (1.0, -0.5), (0.5, 0.0)),
+    Action.FILL))
+_declare("fast cap", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _shape(
+    _ONE, lambda a: (
+        *_in_widths(*_TRIANGLE_CAP_POINTS), _CLOSE,
+        *_in_widths((1.0, 0.5), (1.5, 0.5), (2.0, 0.0), (1.5, -0.5), (1.0, -0.5), (1.5, 0.0)),
+    ), Action.FILL, close=True))
+_declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _shape(
+    _ONE, lambda a: (
+        *_in_widths((-0.1, 0.5), (1.0, 0.5), (0.5, 0.0), (1.0, -0.5), (-0.1, -0.5)), _CLOSE,
+        *_in_widths((1.5, 0.5), (2.0, 0.5), (1.5, 0.0), (2.0, -0.5), (1.5, -0.5), (1.0, 0.0)),
+    ), Action.FILL, close=True))
 
 
 # --- public API -------------------------------------------------------------------

@@ -96,15 +96,17 @@ def _element(drawable, fmt: Callable[[float], str]) -> str:
 
 
 def scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
-    """Control-point bounding box, padded for stroke width and caps.
+    """Control-point bounding box, padded for stroke width, caps and joins.
 
-    A bound, not a tight box: control points can overestimate curves and the
-    pad of 1.5 widths covers every cap and miter spike in the catalog.
+    A bound, not a tight box: control points can overestimate curves.  A
+    stroke is padded by 2 widths: caps and bevels reach w/2, and SVG draws a
+    miter only while 1/sin(θ/2) ≤ ``stroke-miterlimit``, 4 by default (SVG
+    1.1 §11.4), so no miter spike reaches past 4·w/2 = 2w.
     """
     xs: list[float] = []
     ys: list[float] = []
     for drawable in scene:
-        pad = 0.0 if drawable.action is Action.FILL else 1.5 * drawable.width
+        pad = 0.0 if drawable.action is Action.FILL else 2.0 * drawable.width
         for op in drawable.outline:
             if isinstance(op, Circle):
                 points = (

@@ -513,6 +513,53 @@ def test_a_cut_measures_the_cubic_only_up_to_the_cut(monkeypatch, side):
     assert newton and len({lo for lo, _ in newton}) == 1
 
 
+README_CUBIC = CubicSegment(Point(0.0, 0.0), Point(30.0, 40.0), Point(70.0, 40.0),
+                            Point(100.0, 0.0))
+
+
+@pytest.fixture
+def no_speed(monkeypatch):
+    """The parameters at which ``_cubic_cut`` asks for a speed, each answered 0.0.
+
+    A zero speed makes every Newton step bisect its bracket.
+    """
+    asked = []
+
+    def zero(d, t):
+        asked.append(t)
+        return 0.0
+
+    monkeypatch.setattr("arrowtips.attach._speed", zero)
+    return asked
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+@pytest.mark.parametrize("amount", [1.0, 7.5, 60.0])
+def test_a_cut_that_only_bisects_still_removes_its_amount(no_speed, side, amount):
+    host = HostPath((README_CUBIC,))
+    whole = _rule(_derivative(README_CUBIC), 0.0, 1.0)
+    kept = shorten(host, side, amount)
+    assert no_speed
+    assert abs(path_length(host) - path_length(kept) - amount) <= 2e-12 * whole
+
+
+# Each cut lands just past the low end of a piece, so the length wanted is
+# small: one ulp of t moves the rule by many ulps of it, and f does not hit 0
+# exactly before the bracket collapses.
+@pytest.mark.parametrize("amount, backward", [(33.3, False), (60.3, True)])
+def test_bisection_with_no_tolerance_ends_on_the_collapsed_bracket(monkeypatch, no_speed,
+                                                                    amount, backward):
+    expected, _ = _cubic_cut(README_CUBIC, amount, backward)
+    no_speed.clear()
+    monkeypatch.setattr("arrowtips.attach._NEWTON_TOLERANCE", 0.0)
+    t, _ = _cubic_cut(README_CUBIC, amount, backward)
+    # t is an end of the last bracket, and the other end is its float neighbour
+    assert t in no_speed
+    assert {math.nextafter(t, 0.0), math.nextafter(t, 1.0)} & set(no_speed)
+    # the tolerant cut is within 1e-12 * 121 pt of length, at a speed above 100
+    assert t == pytest.approx(expected, abs=2e-12)
+
+
 # A cut longer than the 3.44 long cubic drops it, and the line takes the rest.
 SMALL_ARCH = ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.0))
 

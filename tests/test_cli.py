@@ -1,5 +1,7 @@
 import contextlib
 import io
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -289,6 +291,26 @@ def test_render_rejects_a_drawing_too_large_to_lay_out(tmp_path, capsys, path, w
     assert capsys.readouterr().err == (
         "error: the drawing is too large to lay out: its size overflows\n")
     assert not out.exists()
+
+
+def test_render_keeps_the_host_miter_join_inside_the_view_box(tmp_path):
+    # The join at (100, 0) meets at 30 degrees: 1/sin(15°) ≈ 3.86 is within
+    # SVG's default miter limit of 4, so the spike is drawn, 10/sin(15°) from
+    # the corner along the outer bisector, at -15 degrees.
+    out = tmp_path / "x.svg"
+    args = ["render", "--spec", "-", "--path", "M 0,0 L 100,0 L 0,57.74", "--width", "20",
+            "--out", str(out)]
+    assert run(args) == 0
+    root = ET.fromstring(out.read_text(encoding="utf-8"))
+    _, _, view_width, view_height = map(float, root.get("viewBox").split())
+    scene = root.find(".//{http://www.w3.org/2000/svg}g/{http://www.w3.org/2000/svg}g")
+    origin = re.fullmatch(r"translate\(([^,]+),([^)]+)\) scale\(1,-1\)", scene.get("transform"))
+    origin_x, origin_y = map(float, origin.groups())
+    reach = 10.0 / math.sin(math.radians(15.0))
+    tip_x = origin_x + 100.0 + reach * math.cos(math.radians(15.0))
+    tip_y = origin_y + reach * math.sin(math.radians(15.0))  # y is flipped
+    assert 0.0 <= tip_x <= view_width
+    assert 0.0 <= tip_y <= view_height
 
 
 def test_render_rejects_bad_path(tmp_path):

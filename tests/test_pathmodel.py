@@ -190,6 +190,14 @@ def test_curve_before_move_fails():
     assert err.value.index == 1
 
 
+def test_a_stray_value_reports_its_index_as_an_unknown_op():
+    program = RenderProgram((move_to(0.0, 0.0), "stray", line_to(1.0, 0.0), Action.STROKE))
+    with pytest.raises(ProgramError) as err:
+        evaluate(program, 1.0)
+    assert err.value.index == 1
+    assert str(err.value) == "op 1: unknown op 'stray'"
+
+
 def test_close_without_subpath_fails():
     program = RenderProgram((ClosePath(), Action.STROKE))
     with pytest.raises(ProgramError):

@@ -191,7 +191,7 @@ def fill_drawable():
 
 
 def test_scene_bounds_pads_strokes_but_not_fills():
-    assert scene_bounds((stroke_drawable(),)) == (-1.5, -1.5, 11.5, 1.5)
+    assert scene_bounds((stroke_drawable(),)) == (-2.0, -2.0, 12.0, 2.0)
     assert scene_bounds((fill_drawable(),)) == (0.0, -2.0, 4.0, 2.0)
 
 
