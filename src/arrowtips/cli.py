@@ -1,17 +1,7 @@
-"""Command line front end.
-
-Subcommands:
-  gallery   every catalog tip on a reference 40pt segment, one row per tip,
-            one column per stroke width
-  render    one arrow spec applied to a path literal
-  extents   print a tip's horizontal extents at a given width
-
-Exit codes: 0 success, 2 usage or parse error, 3 I/O error.
-"""
+"""Command line front end: ``_HELP`` gives its commands, options and exit codes."""
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from typing import Optional, Sequence
@@ -86,31 +76,30 @@ def _full_precision(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _gallery_width(part: str) -> float:
-    """One comma-separated part of ``--widths``, as a drawable width."""
+def _number(option: str, text: str) -> float:
     try:
-        value = float(part)
+        return float(text)
     except ValueError:
-        raise ValueError(f"argument --widths: invalid float value: {part!r}") from None
-    return _drawable_width(value)
+        raise ValueError(f"argument {option}: invalid float value: {text!r}") from None
 
 
-def _cmd_gallery(args: argparse.Namespace) -> int:
-    widths = tuple(map(_gallery_width, args.widths.split(",")))
+def _cmd_gallery(options: dict[str, str]) -> int:
+    widths = [_drawable_width(_number("--widths", part)) for part in options["--widths"].split(",")]
     host = HostPath((LineSegment(Point(0.0, 0.0), Point(REFERENCE_SEGMENT_LENGTH, 0.0)),))
     scenes = []
     for definition in catalog.registry():
         for width in widths:
             label = f"{definition.end_name} w={svg.format_number(width)}"
             scenes.append((label, decorate(host, ArrowSpec(end=definition.end_name), width)))
-    _write_text(args.out, svg.render_document(scenes, columns=len(widths)))
+    _write_text(options["--out"], svg.render_document(scenes, columns=len(widths)))
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    host = parse_path_literal(args.path)
-    spec = parse(args.spec)
-    scene = decorate(host, spec, _drawable_width(args.width))
+def _cmd_render(options: dict[str, str]) -> int:
+    width = _number("--width", options["--width"])
+    host = parse_path_literal(options["--path"])
+    spec = parse(options["--spec"])
+    scene = decorate(host, spec, _drawable_width(width))
     min_x, min_y, max_x, max_y = svg.scene_bounds(scene)
     pad = 4.0
     label_zone = 12.0
@@ -122,75 +111,71 @@ def _cmd_render(args: argparse.Namespace) -> int:
     }
     if not all(math.isfinite(value) for value in layout.values()):
         raise ValueError("the drawing is too large to lay out: its size overflows")
-    _write_text(args.out, svg.render_document([(format_spec(spec), scene)], columns=1, **layout))
+    _write_text(options["--out"], svg.render_document([(format_spec(spec), scene)], columns=1,
+                                                      **layout))
     return 0
 
 
-def _cmd_extents(args: argparse.Namespace) -> int:
-    side = Side.START if args.side == "start" else Side.END
-    tip = catalog.lookup(args.tip, side)
-    result = catalog.extents(tip, args.width)
+def _cmd_extents(options: dict[str, str]) -> int:
+    side = options["--side"]
+    if side not in ("start", "end"):
+        raise ValueError(f"argument --side: invalid choice: {side!r} (choose from 'start', 'end')")
+    width = _number("--width", options["--width"])
+    tip = catalog.lookup(options["--tip"], Side(side))
+    result = catalog.extents(tip, width)
     print(f"left={_full_precision(result.left)} right={_full_precision(result.right)}")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arrowtips",
-        description="Stroke-width-parameterized arrow tips rendered to SVG.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+# Each command's handler and its options' default texts; None marks a required option.
+_COMMANDS = {
+    "gallery": (_cmd_gallery, {"--widths": ",".join(map(str, DEFAULT_WIDTHS)), "--out": None}),
+    "render": (_cmd_render, {"--spec": None, "--path": None, "--width": "0.4", "--out": None}),
+    "extents": (_cmd_extents, {"--tip": None, "--side": "end", "--width": None}),
+}
 
-    gallery = subparsers.add_parser("gallery", help="render the whole catalog")
-    gallery.add_argument("--widths", default=",".join(str(w) for w in DEFAULT_WIDTHS),
-                         help="comma-separated stroke widths (default %(default)s)")
-    gallery.add_argument("--out", required=True, help="output SVG file")
-    gallery.set_defaults(handler=_cmd_gallery)
-
-    render = subparsers.add_parser("render", help="render one arrow spec on a path")
-    render.add_argument("--spec", required=True, help="arrow spec, e.g. \"[-latex'\"")
-    render.add_argument("--path", required=True,
-                        help="path literal, e.g. \"M 0,0 C 30,40 70,40 100,0\"")
-    render.add_argument("--width", type=float, default=0.4, help="stroke width (default 0.4)")
-    render.add_argument("--out", required=True, help="output SVG file")
-    render.set_defaults(handler=_cmd_render)
-
-    extents = subparsers.add_parser("extents", help="print a tip's extents")
-    extents.add_argument("--tip", required=True, help="tip name")
-    extents.add_argument("--side", choices=("start", "end"), default="end")
-    extents.add_argument("--width", type=float, required=True, help="stroke width")
-    extents.set_defaults(handler=_cmd_extents)
-    return parser
+_HELP = f"""\
+usage: arrowtips gallery [--widths W,... ({_COMMANDS["gallery"][1]["--widths"]})] --out FILE
+usage: arrowtips render --spec SPEC --path PATH [--width W (0.4)] --out FILE
+usage: arrowtips extents --tip NAME [--side start|end (end)] --width W
+Options are never abbreviated; write --option VALUE or --option=VALUE, even if VALUE starts with -.
+Exit codes: 0 success, 2 usage or parse error, 3 I/O error."""
 
 
-def _attach_spec_values(argv: Sequence[str]) -> list[str]:
-    """``argv`` with each ``--spec VALUE`` written as ``--spec=VALUE``.
+def _cmd_help(options: dict[str, str]) -> int:
+    print(_HELP)
+    return 0
 
-    argparse reads a word that starts with ``-`` and has no space as an
-    option, so the end-only spec ``-latex'`` would otherwise not reach
-    ``--spec``.  The word after ``--spec`` is always its value.
-    """
-    out: list[str] = []
-    words = iter(argv)
+
+def _read_argv(argv: Sequence[str]):
+    """The handler that ``argv`` names and the options it gives, defaults filled in."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _cmd_help, {}
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise ValueError(f"expected a command: {', '.join(_COMMANDS)}{got}")
+    handler, defaults = _COMMANDS[argv[0]]
+    options = dict(defaults)
+    words = iter(argv[1:])
     for word in words:
-        value = next(words, None) if word == "--spec" else None
-        out.append(word if value is None else f"{word}={value}")
-    return out
+        name, equals, value = word.partition("=")
+        if name in ("-h", "--help"):
+            return _cmd_help, {}
+        if name not in defaults:
+            raise ValueError(f"{argv[0]}: unknown option {name!r}")
+        if not equals and (value := next(words, None)) is None:
+            raise ValueError(f"argument {name}: expected one argument")
+        options[name] = value
+    missing = [name for name, value in options.items() if value is None]
+    if missing:
+        raise ValueError(f"{argv[0]}: the following arguments are required: {', '.join(missing)}")
+    return handler, options
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_attach_spec_values(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    for name, value in vars(args).items():
-        if isinstance(value, list):  # argparse before 3.13 reads --OPT=-- as []
-            print(f"error: argument --{name}: expected a value, got '--'", file=sys.stderr)
-            return 2
-    try:
-        return args.handler(args)
+        handler, options = _read_argv(list(sys.argv[1:] if argv is None else argv))
+        return handler(options)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -386,8 +386,8 @@ def test_infinite_widths_are_rejected_by_the_width_check(tmp_path, capsys, args)
     assert not out.exists()
 
 
-# argparse before 3.13 hands the handler [] for --OPT=--, and the spec word
-# after a separate --spec is joined to it; 3.13 keeps "--", a valid file name.
+# An option takes the word after it, or after "=", as its value, so "--" is a
+# value like any other: a valid file name for --out, and a bad value elsewhere.
 @pytest.mark.parametrize("args", [
     ["render", "--spec=--", "--path=M 0,0 L 100,0", "--out=x.svg"],
     ["render", "--spec", "--", "--path=M 0,0 L 100,0", "--out=x.svg"],
@@ -403,17 +403,73 @@ def test_an_option_given_as_double_dash_ends_without_a_traceback(tmp_path, monke
                                                                  args):
     monkeypatch.chdir(tmp_path)
     code = main(args)
-    if "--out=--" in args and code == 0:
-        assert (tmp_path / "--").exists()
-        return
-    assert code == 2
-    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+    err = capsys.readouterr().err
+    if "--out=--" in args:
+        assert (code, err) == (0, "")
+        ET.parse(tmp_path / "--")
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "expected a command: gallery, render, extents"),
+    (["draw"], "expected a command: gallery, render, extents, got 'draw'"),
+    (["render", "--spec", "-latex'", "--path", CUBIC, "--wdth", "1", "--out", "x.svg"],
+     "render: unknown option '--wdth'"),
+    (["render", "--spec", "-latex'", "--path", CUBIC, "--out"],
+     "argument --out: expected one argument"),
+    (["render", "--spec", "-latex'"], "render: the following arguments are required: --path, --out"),
+    (["extents", "--tip", "latex'", "--side", "up", "--width", "1"],
+     "argument --side: invalid choice: 'up' (choose from 'start', 'end')"),
+], ids=["no-command", "unknown-command", "unknown-option", "no-value", "missing", "bad-side"])
+def test_a_usage_error_prints_one_error_line(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _usage_commands(text):
+    return [line.split()[2] for line in text.splitlines() if line.startswith("usage: arrowtips ")]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["-h"], ["render", "--help"]], ids=" ".join)
+def test_help_prints_a_usage_line_for_each_command(capsys, args):
+    assert run(args) == 0
+    captured = capsys.readouterr()
+    assert _usage_commands(captured.out) == ["gallery", "render", "extents"]
+    assert captured.err == ""
+
+
+def test_help_does_not_need_docstrings():
+    result = subprocess.run([sys.executable, "-OO", "-m", "arrowtips", "--help"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert _usage_commands(result.stdout) == ["gallery", "render", "extents"]
+
+
+# Each option takes the next word as its value, even one that starts with "-".
+@pytest.mark.parametrize("args, code, err", [
+    (["render", "--spec", "-latex'", "--path", "M 0,0 L 100,0", "--out", "-arrow.svg"], 0, ""),
+    (["gallery", "--widths", "-1,2", "--out", "x.svg"], 2,
+     "error: stroke width must be positive and finite, got -1.0\n"),
+], ids=["render-out", "gallery-widths"])
+def test_a_value_that_starts_with_a_dash_reaches_its_option(tmp_path, monkeypatch, capsys, args,
+                                                            code, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        ET.parse(tmp_path / "-arrow.svg")
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_path_literal_line():

@@ -16,10 +16,12 @@ import pytest
 from arrowtips.catalog import Side, UnknownTipError, lookup
 
 # The xml.sax.saxutils -> urllib.request chain; difflib, which only a
-# misspelled tip name needs; and dataclasses, with the inspect it loads, which
-# arrowtips loads only to raise FrozenInstanceError on a write to a record.
+# misspelled tip name needs; dataclasses, with the inspect it loads, which
+# arrowtips loads only to raise FrozenInstanceError on a write to a record;
+# and argparse, with the gettext it loads: the CLI reads argv from its own
+# option table.
 UNUSED = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "difflib",
-          "dataclasses", "inspect")
+          "dataclasses", "inspect", "argparse", "gettext")
 
 
 def _fresh_stdout(code: str) -> str:
