@@ -117,22 +117,15 @@ def _segment_points(segment: Segment) -> tuple[Point, ...]:
     return (segment.start, segment.control1, segment.control2, segment.end)
 
 
-# 16-point Gauss-Legendre quadrature on [0, 1]: the nodes and weights of
-# numpy.polynomial.legendre.leggauss(16) mapped from [-1, 1], printed to
-# round-trip precision.
-_GL_NODES = (
-    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
-    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
-    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
-    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+# 16-point Gauss-Legendre quadrature on [-1, 1]: the (x, w) of
+# numpy.polynomial.legendre.leggauss(16) with x > 0, printed to round-trip
+# precision.  Each row stands for the node pair -x, +x, which share w.
+_GL_POSITIVE = (
+    (0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
 )
-_GL_WEIGHTS = (
-    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
-    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
-    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
-    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
-)
-_GL_PAIRS = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 
 # A piece is accepted once the rule on it and the sum over its halves agree
 # within _PIECE_TOLERANCE * (piece width in t) * (rule over [0, 1]).
@@ -164,12 +157,14 @@ def _rule(d: tuple[float, ...], lo: float, hi: float) -> float:
     """The 16-node rule for the arc length from ``lo`` to ``hi``."""
     ax, bx, cx, ay, by, cy = d
     hypot = math.hypot
-    h = hi - lo
+    half = 0.5 * (hi - lo)
+    mid = lo + half
     total = 0.0
-    for node, weight in _GL_PAIRS:
-        t = lo + h * node
-        total += weight * hypot((ax * t + bx) * t + cx, (ay * t + by) * t + cy)
-    return h * total
+    for x, weight in _GL_POSITIVE:
+        t, u = mid - half * x, mid + half * x
+        total += weight * (hypot((ax * t + bx) * t + cx, (ay * t + by) * t + cy)
+                           + hypot((ax * u + bx) * u + cx, (ay * u + by) * u + cy))
+    return half * total
 
 
 def _unit_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -312,17 +307,11 @@ def end_tangent(path: HostPath, side: Side) -> Point:
 
 def _tangent(path: HostPath, side: Side) -> tuple[float, float]:
     """``end_tangent``'s parts (ux, uy), with no ``Point`` built."""
-    if side is Side.END:
-        ordered = reversed(path.segments)
-    else:
-        ordered = iter(path.segments)
-    for segment in ordered:
-        points = _segment_points(segment)
-        if side is Side.END:
-            tip, rest = points[-1], points[-2::-1]
-        else:
-            tip, rest = points[0], points[1:]
-        for candidate in rest:
+    step = -1 if side is Side.END else 1
+    for segment in path.segments[::step]:
+        points = _segment_points(segment)[::step]
+        tip = points[0]
+        for candidate in points[1:]:
             dx = tip.x - candidate.x
             dy = tip.y - candidate.y
             length = math.hypot(dx, dy)

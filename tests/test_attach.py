@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from arrowtips._tips import PLACED
 from arrowtips.attach import (
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _GL_POSITIVE,
     _cubic_cut,
     _derivative,
     _pieces,
@@ -220,36 +219,63 @@ def test_cubic_tangent_matches_numeric_derivative(side):
     assert math.hypot(got.x, got.y) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vanishing_end_derivative_falls_back_to_inner_control():
-    # control2 sits on the endpoint, so the tangent comes from control1
-    segment = CubicSegment(Point(0.0, 0.0), Point(10.0, 0.0), Point(20.0, 10.0), Point(20.0, 10.0))
-    path = HostPath((segment,))
-    got = end_tangent(path, Side.END)
-    dx, dy = 20.0 - 10.0, 10.0 - 0.0
+VANISHING_END_DERIVATIVE = {
+    # control2 sits on the end point, so the end tangent comes from control1
+    Side.END: ((0.0, 0.0), (10.0, 0.0), (20.0, 10.0), (20.0, 10.0)),
+    # control1 sits on the start point, so the start tangent comes from control2
+    Side.START: ((0.0, 0.0), (0.0, 0.0), (10.0, 20.0), (20.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_vanishing_end_derivative_falls_back_to_inner_control(side):
+    p0, p1, p2, p3 = (Point(*p) for p in VANISHING_END_DERIVATIVE[side])
+    path = HostPath((CubicSegment(p0, p1, p2, p3),))
+    got = end_tangent(path, side)
+    tip, inner = (p3, p1) if side is Side.END else (p0, p2)
+    dx, dy = tip.x - inner.x, tip.y - inner.y
     norm = math.hypot(dx, dy)
     assert got.x == pytest.approx(dx / norm, abs=1e-12)
     assert got.y == pytest.approx(dy / norm, abs=1e-12)
 
 
-def test_coincident_end_segment_defers_to_neighbor():
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_coincident_end_segment_defers_to_neighbor(side):
     p = Point(5.0, 5.0)
-    path = HostPath((
-        LineSegment(Point(0.0, 0.0), p),
-        CubicSegment(p, p, p, p),
-    ))
-    got = end_tangent(path, Side.END)
-    r = math.sqrt(0.5)
+    point = CubicSegment(p, p, p, p)
+    if side is Side.END:
+        path, r = HostPath((LineSegment(Point(0.0, 0.0), p), point)), math.sqrt(0.5)
+    else:
+        path, r = HostPath((point, LineSegment(p, Point(10.0, 10.0)))), -math.sqrt(0.5)
+    got = end_tangent(path, side)
     assert got.x == pytest.approx(r, abs=1e-12)
     assert got.y == pytest.approx(r, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", range(32))
 def test_quadrature_rule_integrates_polynomials_up_to_degree_31(k):
-    # The stored nodes and weights carry leggauss's own rounding: even summed
-    # exactly they miss 1/(k+1) by up to 1.7e-15 relative, so the bound is a
-    # few ulps rather than one.
-    got = math.fsum(w * x**k for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    assert abs(got - 1.0 / (k + 1)) <= 4e-15 / (k + 1)
+    # Each row of the table is the node pair -x, +x on [-1, 1], so odd powers
+    # cancel exactly.  The stored values carry leggauss's own rounding: even
+    # summed exactly they miss 2/(k+1) by a few ulps, so the bound is 8e-15
+    # relative to 1/(k+1), 4e-15 of the unit interval doubled.
+    got = math.fsum(w * (x**k + (-x) ** k) for x, w in _GL_POSITIVE)
+    want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    assert abs(got - want) <= 8e-15 / (k + 1)
+
+
+def test_rule_maps_its_nodes_onto_the_interval():
+    # x(t) of this cubic has the positive quadratic x'(t) as its speed, which
+    # the 16-node rule integrates exactly up to rounding, whatever [lo, hi].
+    segment = CubicSegment(Point(0.0, 0.0), Point(5.0, 0.0), Point(30.0, 0.0), Point(40.0, 0.0))
+    d = _derivative(segment)
+
+    def x(t):
+        return t * (15.0 * (1 - t) ** 2 + t * (90.0 * (1 - t) + 40.0 * t))
+
+    rng = random.Random(30)
+    for _ in range(2000):
+        lo, hi = sorted((rng.random(), rng.random()))
+        assert abs(_rule(d, lo, hi) - (x(hi) - x(lo))) <= 8 * math.ulp(40.0), (lo, hi)
 
 
 def test_attach_rejects_a_path_whose_length_overflows():

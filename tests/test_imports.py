@@ -75,7 +75,7 @@ def test_the_attach_submodule_is_not_shadowed_by_its_function():
     import arrowtips.attach as module
 
     assert isinstance(module, types.ModuleType)
-    assert hasattr(module, "_GL_NODES")
+    assert hasattr(module, "_GL_POSITIVE")
 
 
 def test_cli_import_creates_no_dataclass():
