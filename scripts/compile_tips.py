@@ -41,7 +41,8 @@ Usage, from the repository root:
 
 Run it after every edit to ``catalog.py``; the tier-1 test
 ``test_generated_module_matches_the_catalog`` fails while the committed
-module differs from what this script writes.
+module differs from what this script writes.  It never imports the module
+it writes, so it works from a broken or missing ``_tips.py`` too.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-# Trace the catalog of this checkout, whatever the caller's path.
+# Trace the catalog of this checkout, whatever the caller's path, as a bare
+# package: its __init__ imports the generated module, which may be broken or
+# missing, and nothing the tracer loads does.
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-# The package imports the generated module.  A broken or missing copy must
-# not stop its own regeneration, and the tracer never calls it.
-try:
-    import arrowtips._tips  # noqa: F401
-except (ImportError, SyntaxError):
-    sys.modules["arrowtips._tips"] = types.SimpleNamespace(PLACED={})
+PACKAGE = types.ModuleType("arrowtips")
+PACKAGE.__path__ = [str(ROOT / "src" / "arrowtips")]
+sys.modules.setdefault("arrowtips", PACKAGE)
 
 from arrowtips.catalog import TipDefinition, declared_reversals, registry  # noqa: E402
 from arrowtips.geometry import AffineTransform  # noqa: E402

@@ -32,7 +32,6 @@ from functools import partial
 from typing import Callable
 
 from ._record import Record, setters
-from ._tips import PLACED
 from .pathmodel import (
     Action,
     ClosePath,
@@ -515,7 +514,7 @@ def check_drawing(tip: TipId, w: float, scene: Scene,
 
     A drawing overflows when one of its coordinates is not finite.  For a
     placed drawing, ``origin`` is where the tip's origin went; the error names
-    it, unless the width alone overflows the tip, when it names the width.
+    it, unless the width alone overflows the tip: then ``program`` raises.
     ``attach`` calls it only outside the box that scripts/compile_tips.py
     proves safe: w, |tx| or |ty| above ``_tips.BOUND``, or NaN.
     """
@@ -524,8 +523,7 @@ def check_drawing(tip: TipId, w: float, scene: Scene,
             for value in op._values():
                 if not math.isfinite(value):
                     if origin is not None:  # raises first if the tip overflows unplaced
-                        check_drawing(tip, w, PLACED[tip.definition.end_name](
-                            w, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+                        program(tip, w)
                     where = (f"at stroke width {w}" if origin is None else
                              f"when placed at ({origin[0]:g}, {origin[1]:g}) with stroke width {w}")
                     raise ValueError(f"coordinates of tip {tip.name!r} overflow {where}")

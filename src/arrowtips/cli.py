@@ -134,12 +134,12 @@ _COMMANDS = {
     "extents": (_cmd_extents, {"--tip": None, "--side": "end", "--width": None}),
 }
 
-_HELP = f"""\
-usage: arrowtips gallery [--widths W,... ({_COMMANDS["gallery"][1]["--widths"]})] --out FILE
-usage: arrowtips render --spec SPEC --path PATH [--width W (0.4)] --out FILE
-usage: arrowtips extents --tip NAME [--side start|end (end)] --width W
+_HELP = """\
+usage: arrowtips gallery [--widths W,... ({gallery[1][--widths]})] --out FILE
+usage: arrowtips render --spec SPEC --path PATH [--width W ({render[1][--width]})] --out FILE
+usage: arrowtips extents --tip NAME [--side start|end ({extents[1][--side]})] --width W
 Options are never abbreviated; write --option VALUE or --option=VALUE, even if VALUE starts with -.
-Exit codes: 0 success, 2 usage or parse error, 3 I/O error."""
+Exit codes: 0 success, 2 usage or parse error, 3 I/O error.""".format_map(_COMMANDS)
 
 
 def _cmd_help(options: dict[str, str]) -> int:

@@ -114,8 +114,8 @@ IDENTITY_WIDTHS = (*(1e250 * (sys.float_info.max / 1e250) ** (i / 39) for i in r
 
 @pytest.mark.parametrize("side", [Side.START, Side.END])
 def test_the_identity_drawing_overflows_exactly_where_the_program_does(side):
-    # check_drawing tells a width overflow from a placement overflow by the
-    # generated drawing under the identity placement; program is the reference.
+    # The generated evaluator under the identity placement overflows at the
+    # same widths as the reference, program.
     names = start_names() if side is Side.START else end_names()
     overflows = 0
     for name in names:

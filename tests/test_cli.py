@@ -110,9 +110,9 @@ def test_render_reports_overflowing_tip_coordinates(tmp_path, capsys, spec, widt
 def scans(monkeypatch):
     """The stroke widths of the placed drawings ``catalog.check_drawing`` scans, in order.
 
-    A placed drawing's scan is the one ``attach`` makes; an unplaced one is
-    the tip's drawing under the identity placement, which the error path scans
-    to blame the width, or comes from ``catalog.program``.
+    A placed drawing's scan is the one ``attach`` makes; an unplaced one
+    comes from ``catalog.program``, which the error path also calls to blame
+    the width.
     """
     widths = []
     check = catalog.check_drawing

@@ -3,6 +3,9 @@
 import ast
 import itertools
 import math
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,26 @@ from arrowtips.pathmodel import (
 
 def test_generated_module_matches_the_catalog(compiler):
     assert compiler.MODULE.read_text(encoding="utf-8") == compiler.module_text()
+
+
+@pytest.mark.parametrize("damage", ["broken", "missing"])
+def test_the_script_regenerates_a_broken_or_missing_module(compiler, tmp_path, damage):
+    # A copy of the package and the script, in the same layout.
+    package = tmp_path / "src" / "arrowtips"
+    package.mkdir(parents=True)
+    for source in compiler.MODULE.parent.glob("*.py"):
+        shutil.copy(source, package)
+    (tmp_path / "scripts").mkdir()
+    script = shutil.copy(compiler.ROOT / "scripts" / "compile_tips.py", tmp_path / "scripts")
+    module = package / "_tips.py"
+    if damage == "broken":
+        module.write_text("not python (\n", encoding="utf-8")
+    else:
+        module.unlink()
+    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert module.read_bytes() == compiler.MODULE.read_bytes()
 
 
 def test_each_declared_mirror_calls_its_original_and_every_other_tip_is_traced(compiler):
