@@ -47,6 +47,12 @@ from .pathmodel import (
 )
 from .specparser import ArrowSpec
 
+# Enum members the per-arrow path compares against, read once: on 3.10 and
+# 3.11 ``EnumType.__getattr__`` makes a read like ``Side.END`` cost 4x a
+# global, and ``Enum.__hash__`` and ``.value`` run as Python on every version.
+_START, _END = Side.START, Side.END
+_BUTT, _MITER, _STROKE = LineCap.BUTT, LineJoin.MITER, Action.STROKE
+
 
 class LineSegment(Record):
     __slots__ = __match_args__ = ("start", "end")
@@ -307,7 +313,7 @@ def end_tangent(path: HostPath, side: Side) -> Point:
 
 def _tangent(path: HostPath, side: Side) -> tuple[float, float]:
     """``end_tangent``'s parts (ux, uy), with no ``Point`` built."""
-    step = -1 if side is Side.END else 1
+    step = -1 if side is _END else 1
     for segment in path.segments[::step]:
         points = _segment_points(segment)[::step]
         tip = points[0]
@@ -342,7 +348,7 @@ def shorten(path: HostPath, side: Side, amount: float) -> HostPath:
         return path
     segments = list(path.segments)
     remaining = amount
-    backward = side is Side.END
+    backward = side is _END
     index = -1 if backward else 0
     while segments:
         segment = segments[index]
@@ -392,7 +398,7 @@ def placement(path: HostPath, side: Side, right_extent: float) -> Placement:
 def _frame(path: HostPath, side: Side, right_extent: float) -> tuple[float, ...]:
     """``placement``'s entries (a, b, c, d, tx, ty), with no record built."""
     ux, uy = _tangent(path, side)
-    end = path.segments[0].start if side is Side.START else path.segments[-1].end
+    end = path.segments[0].start if side is _START else path.segments[-1].end
     # The rotation is read off the unit tangent, so axis-aligned tangents give
     # exact entries without trigonometry.
     return ux, uy, -uy, ux, end.x - right_extent * ux, end.y - right_extent * uy
@@ -447,9 +453,8 @@ def decorate(path: HostPath, spec: ArrowSpec, w: float) -> Scene:
     start_scene: Scene = ()
     end_scene: Scene = ()
     if spec.end is not None:
-        shortened, end_scene = attach(shortened, Side.END, catalog.lookup(spec.end, Side.END), w)
+        shortened, end_scene = attach(shortened, _END, catalog.lookup(spec.end, _END), w)
     if spec.start is not None:
-        shortened, start_scene = attach(shortened, Side.START,
-                                        catalog.lookup(spec.start, Side.START), w)
-    host = Drawable(path_outline(shortened), w, LineCap.BUTT, LineJoin.MITER, Action.STROKE)
+        shortened, start_scene = attach(shortened, _START, catalog.lookup(spec.start, _START), w)
+    host = Drawable(path_outline(shortened), w, _BUTT, _MITER, _STROKE)
     return (host, *start_scene, *end_scene)

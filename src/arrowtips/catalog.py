@@ -58,6 +58,9 @@ class Side(Enum):
     END = "end"
 
 
+_START = Side.START  # read once, as attach.py reads its enum members
+
+
 class Extents(Record):
     """Signed horizontal reach of a tip whose front sits at the origin.
 
@@ -97,7 +100,7 @@ class TipId(Record):
 
     @property
     def name(self) -> str:
-        return (self.definition.start_name if self.side is Side.START
+        return (self.definition.start_name if self.side is _START
                 else self.definition.end_name)
 
 
@@ -113,7 +116,7 @@ class UnknownTipError(LookupError):
     def __str__(self) -> str:
         import difflib  # only a misspelled name that is shown pays for it
 
-        names = _BY_START if self.side is Side.START else _BY_END
+        names = _BY_START if self.side is _START else _BY_END
         candidates = difflib.get_close_matches(self.name, names, n=3, cutoff=0.6)
         message = f"no {self.side.value} tip named {self.name!r}"
         if candidates:
@@ -481,7 +484,7 @@ def end_names() -> tuple[str, ...]:
 
 
 def lookup(name: str, side: Side) -> TipId:
-    table = _BY_START if side is Side.START else _BY_END
+    table = _BY_START if side is _START else _BY_END
     definition = table.get(name)
     if definition is None:
         raise UnknownTipError(name, side)

@@ -36,24 +36,24 @@ class TipSequenceError(ValueError):
     """A side held several tip names in a row; chains are not supported."""
 
 
-# The catalog is complete once imported, so each side's names are sorted once.
-_LONGEST_FIRST = {
-    side: tuple(sorted(names, key=len, reverse=True))
+# Each side's (Side, name set, names longest first), built once from the complete
+# catalog and read as attach.py reads its enum members: no parse hashes a Side.
+_START_NAMES, _END_NAMES = (
+    (side, frozenset(names), tuple(sorted(names, key=len, reverse=True)))
     for side, names in ((Side.START, catalog.start_names()), (Side.END, catalog.end_names()))
-}
-_NAMES = {side: frozenset(names) for side, names in _LONGEST_FIRST.items()}
+)
 
 
-def _match_side(text: str, side: Side) -> Optional[str]:
+def _match_side(text: str, table: tuple) -> Optional[str]:
     if not text:
         return None
-    if text in _NAMES[side]:
+    side, known, longest_first = table
+    if text in known:
         return text
-    names = _LONGEST_FIRST[side]
-    for name in names:
+    for name in longest_first:
         if text.startswith(name):
             residue = text[len(name):]
-            if any(residue.startswith(other) for other in names):
+            if any(residue.startswith(other) for other in longest_first):
                 raise TipSequenceError(
                     f"{side.value} side {text!r} stacks several tips; one tip per side"
                 )
@@ -68,8 +68,8 @@ def parse(spec: str) -> ArrowSpec:
     if separator < 0:
         raise SpecSyntaxError(f"spec {spec!r} has no '-' separator")
     return ArrowSpec(
-        start=_match_side(text[:separator], Side.START),
-        end=_match_side(text[separator + 1:], Side.END),
+        start=_match_side(text[:separator], _START_NAMES),
+        end=_match_side(text[separator + 1:], _END_NAMES),
     )
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .pathmodel import (Action, Circle, ClosePath, CurveTo, LineCap, LineJoin, LineTo, MoveTo,
-                        PathOp, Scene)
+from .pathmodel import Action, Circle, ClosePath, CurveTo, LineTo, MoveTo, PathOp, Scene
 
 
 def format_number(value: float) -> str:
@@ -40,8 +39,9 @@ def _escape(text: str) -> str:
 
 _PAINT = "#000"
 _LABEL_OPEN = '<text x="4" y="8" font-family="monospace" font-size="6">'
-_STROKE_STYLE = {(cap, join): f' stroke-linecap="{cap.value}" stroke-linejoin="{join.value}"'
-                 for cap in LineCap for join in LineJoin}
+# Read once, as attach.py reads its enum members; a cap or join is written
+# from its ``_value_``, since ``.value`` and ``Enum.__hash__`` run as Python.
+_FILL, _FILL_STROKE = Action.FILL, Action.FILL_STROKE
 
 
 class _Memo(dict):
@@ -85,13 +85,13 @@ def _path_data(outline: Iterable[PathOp], fmt: Callable[[float], str]) -> str:
 
 def _element(drawable, fmt: Callable[[float], str]) -> str:
     d = _path_data(drawable.outline, fmt)
-    if drawable.action is Action.FILL:
+    if drawable.action is _FILL:
         return f'<path d="{d}" fill="{_PAINT}" stroke="none"/>'
-    fill = _PAINT if drawable.action is Action.FILL_STROKE else "none"
+    fill = _PAINT if drawable.action is _FILL_STROKE else "none"
     return (
         f'<path d="{d}" fill="{fill}" stroke="{_PAINT}"'
         f' stroke-width="{fmt(drawable.width)}"'
-        f'{_STROKE_STYLE[drawable.cap, drawable.join]}/>'
+        f' stroke-linecap="{drawable.cap._value_}" stroke-linejoin="{drawable.join._value_}"/>'
     )
 
 
@@ -106,7 +106,7 @@ def scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for drawable in scene:
-        pad = 0.0 if drawable.action is Action.FILL else 2.0 * drawable.width
+        pad = 0.0 if drawable.action is _FILL else 2.0 * drawable.width
         for op in drawable.outline:
             if isinstance(op, Circle):
                 points = (

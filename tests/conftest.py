@@ -24,3 +24,9 @@ def oracle():
 def compiler():
     """The generator of ``arrowtips._tips`` from scripts/, loaded as a module."""
     return _script("compile_tips")
+
+
+@pytest.fixture(scope="session")
+def differential():
+    """The output digest printer from scripts/, loaded as a module."""
+    return _script("differential")
