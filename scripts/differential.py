@@ -4,10 +4,10 @@
 Two checkouts emit the same output where they print the same lines:
 
     gallery  the default gallery document, as ``arrowtips gallery`` writes it
-    curves   one document per arrow: the first N arrows of each seed's
-             ``perfbench/workloads.curves_stream``, each host built by
-             ``Workload.host_path`` and laid out as ``Curves.op`` lays it
-             out, joined with no separator; an arrow whose host or
+    curves   one document per arrow: the first ``ARROWS`` (400) arrows of
+             each seed's ``perfbench/workloads.curves_stream``, each host
+             built by ``Workload.host_path`` and laid out as ``Curves.op``
+             lays it out, joined with no separator; an arrow whose host or
              drawing raises ``ValueError`` gives the ``repr`` of the error
     floats   ``float.hex`` of every coordinate and width of those arrows'
              drawables, in scene order
@@ -15,8 +15,8 @@ Two checkouts emit the same output where they print the same lines:
 
 Usage, from any directory:
 
-    python3 scripts/differential.py                # seeds 1-40, 400 arrows each
-    python3 scripts/differential.py --seeds 1-2 --arrows 50
+    python3 scripts/differential.py                # seeds 1-40
+    python3 scripts/differential.py --seeds 1-2
 
 The arrows come from the benchmark's own generators, which depend only on
 the seed, so both checkouts draw the same inputs.
@@ -33,10 +33,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+try:
+    import workloads
+    from arrowtips import catalog, cli
+finally:
+    del sys.path[:2]
 
-import workloads  # noqa: E402
-from arrowtips import catalog, cli  # noqa: E402
-
+ARROWS = 400
 TIP_WIDTHS = (1e-3, 0.4, 0.8, 1.6, 10.0, 1e6)
 
 
@@ -88,10 +91,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-40"),
                         help="curves seeds, FIRST-LAST or one seed (default 1-40)")
-    parser.add_argument("--arrows", type=int, default=400, help="arrows per seed (default 400)")
     args = parser.parse_args(argv)
-    documents, floats = curves(args.seeds, args.arrows)
-    label = f"{args.seeds.start}-{args.seeds.stop - 1}x{args.arrows}"
+    documents, floats = curves(args.seeds, ARROWS)
+    label = f"{args.seeds.start}-{args.seeds.stop - 1}"
     print(f"gallery {gallery()}")
     print(f"curves {label} {documents}")
     print(f"floats {label} {floats}")
