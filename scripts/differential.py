@@ -12,6 +12,9 @@ Two checkouts emit the same output where they print the same lines:
     floats   ``float.hex`` of every coordinate and width of those arrows'
              drawables, in scene order
     tips     every tip's extents and program ``repr`` at ``TIP_WIDTHS``
+    cli      each argv of ``CLI_ARGVS`` run in process through ``cli.main``:
+             its exit code, stdout, stderr and the bytes of the file it
+             writes, or the file's absence
 
 Usage, from any directory:
 
@@ -25,7 +28,9 @@ the seed, so both checkouts draw the same inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import sys
 import tempfile
@@ -41,6 +46,24 @@ finally:
 
 ARROWS = 400
 TIP_WIDTHS = (1e-3, 0.4, 0.8, 1.6, 10.0, 1e6)
+# README's examples, the CI's extents at the smallest width, and the error
+# cases of tests/test_cli.py.  ``OUT`` stands for a fresh file in a temporary
+# directory; no argv fails on I/O, so no output names that directory.
+CLI_ARGVS = (
+    ("render", "--spec", "[-latex'", "--path", "M 0,0 C 30,40 70,40 100,0", "--out", "OUT"),
+    ("render", "--spec", "-latex'", "--path", "M 0,0 L 100,0", "--out", "OUT"),
+    ("extents", "--tip", "angle 60", "--width", "0.4"),
+    ("extents", "--tip", "[", "--side", "start", "--width", "0.4"),
+    ("--help",),
+    ("extents", "--tip", "o", "--width", "5e-324"),
+    ("extents", "--tip", "round cap", "--width", "5e-324"),
+    ("extents", "--tip", "latex'", "--width", "1e308"),
+    ("render", "--spec", "-]", "--path", "M 0,0 L 1.7e308,0", "--width", "1.5e308", "--out", "OUT"),
+    ("render", "--spec", "-]", "--path", "M 0,0 L 1e308,0", "--width", "8e307", "--out", "OUT"),
+    ("render", "--spec", "-latex'", "--path", "M 0,1.79e308 L 1e308,1.79e308", "--width", "1e306",
+     "--out", "OUT"),
+    ("render", "--spec", "-latex'", "--path", "M 0,0 C 0.3,0.4 0.7,0.4 1,0", "--out", "OUT"),
+)
 
 
 def _seeds(text: str) -> range:
@@ -87,6 +110,22 @@ def tips() -> str:
     return digest.hexdigest()
 
 
+def cli_runs() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, argv in enumerate(CLI_ARGVS):
+            out = Path(scratch) / f"{index}.svg"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([str(out) if word == "OUT" else word for word in argv])
+            if code == 3:  # an I/O error would put the temporary path in the digest
+                raise RuntimeError(f"arrowtips {' '.join(argv)} failed on I/O")
+            written = out.read_bytes() if out.exists() else None
+            run = (argv, code, stdout.getvalue(), stderr.getvalue(), written)
+            digest.update(repr(run).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-40"),
@@ -98,6 +137,7 @@ def main(argv=None) -> int:
     print(f"curves {label} {documents}")
     print(f"floats {label} {floats}")
     print(f"tips {tips()}")
+    print(f"cli {cli_runs()}")
     return 0
 
 

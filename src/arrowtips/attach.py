@@ -414,7 +414,7 @@ def attach(path: HostPath, side: Side, tip: TipId, w: float) -> tuple[HostPath, 
     w, |tx| or |ty| exceeds ``_tips.BOUND`` or is NaN: inside that bound,
     scripts/compile_tips.py proves that no coordinate overflows.
     """
-    right = catalog.extents(tip, w).right
+    right = catalog.reach(tip, w)[1]
     try:
         shortened = shorten(path, side, right)
     except PathTooShortError as error:

@@ -70,13 +70,6 @@ class Extents(Record):
 
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: float, right: float) -> None:
-        _set_extents_left(self, left)
-        _set_extents_right(self, right)
-
-
-_set_extents_left, _set_extents_right = setters(Extents)
-
 
 class TipDefinition(Record):
     """One catalog entry.  Identity equality: entries are registry singletons."""
@@ -162,8 +155,8 @@ def _reach(unit: Callable[[float], float], back: float, back_w: float,
 
     At width w, with ``a = unit(w)``, the tip starts ``back * a + back_w * w``
     behind its front and ends ``front * a + front_w * w`` past it.  Like every
-    extents function, it returns the pair (left, right); ``extents`` builds
-    the record.
+    extents function, it returns the pair (left, right), which ``reach``
+    checks and ``extents`` wraps in a record.
     """
 
     def extents(w: float) -> tuple[float, float]:
@@ -491,13 +484,18 @@ def lookup(name: str, side: Side) -> TipId:
     return TipId(definition, side)
 
 
-def extents(tip: TipId, w: float) -> Extents:
-    """Signed horizontal reach of ``tip`` at stroke width ``w``; ValueError if it overflows."""
+def reach(tip: TipId, w: float) -> tuple[float, float]:
+    """Signed reach (left, right) of ``tip`` at stroke width ``w``; ValueError if it overflows."""
     check_width(w)
     left, right = tip.definition.extents_fn(w)
     if not (math.isfinite(left) and math.isfinite(right)):
         raise ValueError(f"extents of tip {tip.name!r} overflow at stroke width {w}")
-    return Extents(left, right)
+    return left, right
+
+
+def extents(tip: TipId, w: float) -> Extents:
+    """``reach(tip, w)`` as a record."""
+    return Extents(*reach(tip, w))
 
 
 def program(tip: TipId, w: float) -> RenderProgram:

@@ -777,6 +777,19 @@ def test_attach_raises_exactly_where_decorate_does(side):
                 assert all(map(math.isfinite, coordinates)), (name, host, w)
 
 
+@pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda w: attach(line_host(), Side.END, lookup("latex'", Side.END), w),
+    lambda w: attach(line_host(), Side.START, lookup("[", Side.START), w),
+    lambda w: decorate(line_host(), ArrowSpec(end="latex'"), w),
+    lambda w: decorate(line_host(), parse("-"), w),  # no tip: only decorate checks the width
+], ids=["attach-end", "attach-start", "decorate", "decorate-no-tip"])
+def test_attach_and_decorate_reject_a_width_that_is_not_positive_and_finite(call, w):
+    with pytest.raises(ValueError) as error:
+        call(w)
+    assert str(error.value) == f"stroke width must be positive and finite, got {w}"
+
+
 def test_placement_on_straight_host():
     host = line_host()
     place = placement(host, Side.END, 0.6)

@@ -10,7 +10,7 @@ def test_it_prints_one_named_digest_per_line_and_the_pinned_gallery(differential
     monkeypatch.setattr(differential, "ARROWS", 5)
     assert differential.main(["--seeds", "1-2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["gallery", "curves", "floats", "tips"]
+    assert [line.split()[0] for line in lines] == ["gallery", "curves", "floats", "tips", "cli"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[-1]) for line in lines)
     assert lines[0] == f"gallery {GALLERY_SHA256}"
     assert lines[1].startswith("curves 1-2 ")

@@ -1,13 +1,14 @@
-"""The per-arrow path reads no enum class attribute and hashes no enum.
+"""The per-arrow path reads no enum class attribute, hashes no enum and builds no ``Extents``.
 
 On Python 3.10 and 3.11 ``EnumType.__getattr__`` puts a read such as
 ``Side.END`` on the slow attribute path, and on every version
 ``Enum.__hash__`` and ``.value`` run as Python code, so the modules that
 every arrow passes through bind the members they compare against once, at
-import.  This runs real traffic, the default gallery and renders of seeded
-``curves`` arrows through ``cli.main``, with the enum classes in those
-modules replaced by a tripwire and a profiler watching for any call into
-``enum.py``.
+import.  ``attach`` needs only a tip's right extent, so it reads the checked
+pair from ``catalog.reach`` and builds no ``Extents`` record.  This runs real
+traffic, the default gallery and renders of seeded ``curves`` arrows through
+``cli.main``, with the enum classes in those modules and ``catalog.Extents``
+replaced by a tripwire and a profiler watching for any call into ``enum.py``.
 """
 
 import enum
@@ -24,7 +25,7 @@ RENDERS = 40
 
 
 class _Tripwire:
-    """Stands in for an enum class; a read of a member or method is logged and raises."""
+    """Stands in for a class; a read of a member or method, or a build, is logged and raises."""
 
     def __init__(self, reads: list, name: str) -> None:
         self._reads, self._name = reads, name
@@ -32,6 +33,10 @@ class _Tripwire:
     def __getattr__(self, attribute: str):
         self._reads.append(f"{self._name}.{attribute}")
         raise AssertionError(f"the per-arrow path read {self._name}.{attribute}")
+
+    def __call__(self, *args):
+        self._reads.append(f"{self._name}()")
+        raise AssertionError(f"the per-arrow path built {self._name}")
 
 
 def _render_argvs(tmp_path) -> list[list[str]]:
@@ -59,6 +64,7 @@ def test_gallery_and_renders_touch_no_enum_machinery(monkeypatch, tmp_path):
         for name in ENUM_CLASSES:
             if name in vars(module):
                 monkeypatch.setattr(module, name, _Tripwire(reads, f"{module.__name__}.{name}"))
+    monkeypatch.setattr(catalog, "Extents", _Tripwire(reads, "arrowtips.catalog.Extents"))
     sys.setprofile(profile)
     try:
         codes = [cli.main(argv) for argv in argvs]
