@@ -63,6 +63,8 @@ CLI_ARGVS = (
     ("render", "--spec", "-latex'", "--path", "M 0,1.79e308 L 1e308,1.79e308", "--width", "1e306",
      "--out", "OUT"),
     ("render", "--spec", "-latex'", "--path", "M 0,0 C 0.3,0.4 0.7,0.4 1,0", "--out", "OUT"),
+    ("extents", "--tip", "]", "--side", "start", "--width", "0.4"),
+    ("render", "--spec", "latexx-", "--path", "M 0,0 L 100,0", "--out", "OUT"),
 )
 
 

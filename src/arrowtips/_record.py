@@ -10,8 +10,8 @@ takes no defaults and costs about 1.2 us more per build than a hand-written
 one for two fields, and 1.9 us for six, so a class writes its own
 ``__init__`` only if it checks, converts or defaults a field (``Point``,
 ``HostPath``, ``RenderProgram``, ``SetLineWidthFactor``, ``Scalar``,
-``ArrowSpec``), or if a benchmark op builds it about once per arrow or more;
-``tests/test_records.py`` counts the builds.
+``ArrowSpec``), or if a benchmark op builds it at least 0.5 times per arrow
+(``HOT`` in ``tests/test_records.py``, which counts the builds).
 
 A hand-written ``__init__`` stores each field through its class's slot
 descriptor, bound once at module level by ``setters``: about 55 ns a field,

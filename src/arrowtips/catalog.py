@@ -31,7 +31,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from ._record import Record, setters
+from ._record import Record
 from .pathmodel import (
     Action,
     ClosePath,
@@ -58,7 +58,7 @@ class Side(Enum):
     END = "end"
 
 
-_START = Side.START  # read once, as attach.py reads its enum members
+_START, _END = Side.START, Side.END  # read once, as attach.py reads its enum members
 
 
 class Extents(Record):
@@ -87,17 +87,10 @@ class TipId(Record):
 
     __slots__ = __match_args__ = ("definition", "side")
 
-    def __init__(self, definition: TipDefinition, side: Side) -> None:
-        _set_tip_definition(self, definition)
-        _set_tip_side(self, side)
-
     @property
     def name(self) -> str:
         return (self.definition.start_name if self.side is _START
                 else self.definition.end_name)
-
-
-_set_tip_definition, _set_tip_side = setters(TipId)
 
 
 class UnknownTipError(LookupError):
@@ -291,16 +284,16 @@ def _round_cap_extents(w: float) -> tuple[float, float]:
 
 # --- registry -------------------------------------------------------------------
 
-_BY_START: dict[str, TipDefinition] = {}
-_BY_END: dict[str, TipDefinition] = {}
+_BY_START: dict[str, TipId] = {}
+_BY_END: dict[str, TipId] = {}
 _PARTNER: dict[str, str] = {}
 
 
 def _declare(start: str, extents_fn, program_fn, end: str | None = None) -> TipDefinition:
     """Register an entry; its end name is its start name unless given."""
     definition = TipDefinition(start, start if end is None else end, extents_fn, program_fn)
-    _BY_START[definition.start_name] = definition
-    _BY_END[definition.end_name] = definition
+    _BY_START[definition.start_name] = TipId(definition, _START)
+    _BY_END[definition.end_name] = TipId(definition, _END)
     return definition
 
 
@@ -310,7 +303,7 @@ def _declare_reversed(original_end: str, start: str | None = None,
 
     Both names default to ``"<original_end> reversed"``.
     """
-    original = _BY_END[original_end]
+    original = _BY_END[original_end].definition
 
     def extents_fn(w: float) -> tuple[float, float]:
         left, right = original.extents_fn(w)
@@ -465,7 +458,7 @@ _declare("fast cap reversed", _reach(_ONE, 0.0, 0.1, 0.0, 2.0), _shape(
 
 def registry() -> tuple[TipDefinition, ...]:
     """All catalog entries in declaration order."""
-    return tuple(_BY_END.values())
+    return tuple([tip.definition for tip in _BY_END.values()])
 
 
 def start_names() -> tuple[str, ...]:
@@ -477,11 +470,11 @@ def end_names() -> tuple[str, ...]:
 
 
 def lookup(name: str, side: Side) -> TipId:
+    """The registry's tip ``name`` on ``side``: every call for them returns the same record."""
     table = _BY_START if side is _START else _BY_END
-    definition = table.get(name)
-    if definition is None:
+    if name not in table:
         raise UnknownTipError(name, side)
-    return TipId(definition, side)
+    return table[name]
 
 
 def reach(tip: TipId, w: float) -> tuple[float, float]:
@@ -540,7 +533,7 @@ def reverse_tip(tip: TipId) -> TipId:
     partner_end = _PARTNER.get(tip.definition.end_name)
     if partner_end is None:
         raise NoReversalError(tip.name)
-    return TipId(_BY_END[partner_end], tip.side)
+    return TipId(_BY_END[partner_end].definition, tip.side)
 
 
 def declared_reversals() -> dict[str, str]:

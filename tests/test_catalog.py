@@ -57,9 +57,12 @@ def test_bracket_name_depends_on_side():
 
 
 def test_lookup_returns_side_tagged_tip():
-    tip = lookup("angle 60", Side.END)
-    assert tip.side is Side.END
-    assert tip.name == "angle 60"
+    for side, names in ((Side.START, start_names()), (Side.END, end_names())):
+        for name in names:
+            tip = lookup(name, side)
+            assert tip is lookup(name, side)
+            assert tip.side is side
+            assert tip.name == name
 
 
 def test_unknown_name_suggests_close_matches():
@@ -234,9 +237,10 @@ def test_reverse_tip_swaps_and_negates_extents(name):
 
 
 def test_reverse_tip_preserves_side():
-    tip = lookup("(", Side.START)
-    assert reverse_tip(tip).side is Side.START
-    assert reverse_tip(tip).name == ")"
+    names = {d.end_name: {Side.START: d.start_name, Side.END: d.end_name} for d in registry()}
+    for name, partner in declared_reversals().items():
+        for side in Side:
+            assert reverse_tip(lookup(names[name][side], side)) == lookup(names[partner][side], side)
 
 
 def test_double_reversal_is_identity():

@@ -1,14 +1,16 @@
-"""The per-arrow path reads no enum class attribute, hashes no enum and builds no ``Extents``.
+"""The per-arrow path touches no enum machinery and builds no ``Extents`` or ``TipId``.
 
 On Python 3.10 and 3.11 ``EnumType.__getattr__`` puts a read such as
 ``Side.END`` on the slow attribute path, and on every version
 ``Enum.__hash__`` and ``.value`` run as Python code, so the modules that
 every arrow passes through bind the members they compare against once, at
 import.  ``attach`` needs only a tip's right extent, so it reads the checked
-pair from ``catalog.reach`` and builds no ``Extents`` record.  This runs real
-traffic, the default gallery and renders of seeded ``curves`` arrows through
-``cli.main``, with the enum classes in those modules and ``catalog.Extents``
-replaced by a tripwire and a profiler watching for any call into ``enum.py``.
+pair from ``catalog.reach`` and builds no ``Extents`` record; ``lookup``
+returns the registry's ``TipId`` for a name and side, built at import.  This
+runs real traffic, the default gallery and renders of seeded ``curves`` arrows
+through ``cli.main``, with the enum classes in those modules,
+``catalog.Extents`` and ``catalog.TipId`` replaced by a tripwire and a
+profiler watching for any call into ``enum.py``.
 """
 
 import enum
@@ -65,6 +67,7 @@ def test_gallery_and_renders_touch_no_enum_machinery(monkeypatch, tmp_path):
             if name in vars(module):
                 monkeypatch.setattr(module, name, _Tripwire(reads, f"{module.__name__}.{name}"))
     monkeypatch.setattr(catalog, "Extents", _Tripwire(reads, "arrowtips.catalog.Extents"))
+    monkeypatch.setattr(catalog, "TipId", _Tripwire(reads, "arrowtips.catalog.TipId"))
     sys.setprofile(profile)
     try:
         codes = [cli.main(argv) for argv in argvs]
