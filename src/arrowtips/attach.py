@@ -7,19 +7,29 @@ pointing along the outward end tangent: ``attach`` returns the shortened host
 and the placed drawables.
 
 Cubic arc length is adaptive 16-point Gauss-Legendre quadrature of the speed
-|B'(t)| (Gravesen's subdivision approach).  The parameter interval is first
-split at the roots of x'(t) and y'(t), so an exact cusp only ever sits on a
-piece boundary; then each piece [a, b] is bisected until the rule on it and
-the sum over its two halves differ by at most 1e-12 * (b - a) * L0, where L0
-is the rule over [0, 1], and the halves are kept.  The differences summed
-over all pieces, the error estimate, are therefore at most 1e-12 * L0 plus
-the rounding of the sums; only a piece stopped by the depth cap of 50
-bisections can break that bound.  A cut measures the same pieces from its
-own end, in order, only up to the one that holds the cut, and Newton steps
-inside that piece stop once the length to the cut is within 1e-12 * L0 of
-the wanted one, so ``shorten`` removes its amount to within about
-2e-12 * L0.  A segment's length is the same walk run to the end: a cut that
-no piece holds.
+|B'(t)| (Gravesen's subdivision approach), with an error bound proven before
+any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  With tol = 1e-12 * L0,
+L0 the rule over [0, 1] (floored at subnormal scales), the budget is:
+
+- pins, at most tol / 4: a root of B'(t) = x' + i y' that close to the real
+  axis is taken as real (``_branch_points``);
+- pieces, at most tol / 2: [0, 1] is split at the real part of every root
+  in it, so a kink only ever sits on a piece boundary, and each piece [a, b]
+  is bisected until the bound puts the rule on it within tol * (b - a) / 2
+  (``_certified``);
+- rounding: the rule's, about 16 ulp of a piece, and the roots', a few ulp
+  of the largest coefficient of B'(t) per unit of t.
+
+So a segment's length is within 3/4 tol of its arc length, plus rounding.
+Only a piece that the depth cap of 50 bisections stops uncertified can break
+that bound.  A cut measures the same pieces from its own end, in order, only
+up to the one that holds the cut.  Inside it, Newton stops once the rule's
+length to t is within tol of the wanted one, or returns a step unmeasured
+once its miss is proven within tol / 2 (``_cubic_cut``).  The rule to t
+keeps its piece's bound, since the Bernstein ellipse of a sub-interval lies
+inside the piece's.  So ``shorten`` removes its amount to within 7/4 tol
+plus rounding.  A segment's length is the same walk run to the end: a cut
+that no piece holds.
 """
 
 from __future__ import annotations
@@ -133,8 +143,8 @@ _GL_POSITIVE = (
     (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
 )
 
-# A piece is accepted once the rule on it and the sum over its halves agree
-# within _PIECE_TOLERANCE * (piece width in t) * (rule over [0, 1]).
+# The error budget, in units of tol = _PIECE_TOLERANCE * max(L0, _LENGTH_FLOOR):
+# pinned roots may spend a quarter, and each piece [a, b] (b - a) / 2 of it.
 _PIECE_TOLERANCE = 1e-12
 _MAX_DEPTH = 50
 # A cubic shorter than this (pt) gets the tolerance of one this long: at
@@ -142,6 +152,10 @@ _MAX_DEPTH = 50
 _LENGTH_FLOOR = 1e-280
 # Inversion stops once the length to t is within this share of L0, the rule over [0, 1].
 _NEWTON_TOLERANCE = 1e-12
+# The least s = (|z - a| + |z - b|) / (b - a) over the branch points is
+# capped here, which only shrinks the ellipse: its rho = s + sqrt(s^2 - 1) is
+# then at most 2^16, so no s^2, rho^-32 or semi-axis overflows or underflows.
+_S_CAP = 2.0 ** 15
 
 
 def _derivative(segment: CubicSegment) -> tuple[float, ...]:
@@ -173,44 +187,111 @@ def _rule(d: tuple[float, ...], lo: float, hi: float) -> float:
     return half * total
 
 
-def _unit_roots(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real roots of a t^2 + b t + c strictly inside (0, 1)."""
-    scale = max(abs(a), abs(b), abs(c))
-    if not 0.0 < scale < math.inf:
-        return ()
-    a, b, c = a / scale, b / scale, c / scale
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0.0:
-        return ()
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    roots = (c / q,) if q != 0.0 else ()
-    if a != 0.0:
-        roots += (q / a,)
-    return tuple(t for t in roots if 0.0 < t < 1.0)
+def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...], tuple | None]:
+    """``(splits, bound)``: where to split [0, 1], and what ``_certified`` reads.
+
+    B'(t) = x' + i y' = A t^2 + B t + C = (A t - q)(t - z2), with the roots
+    z1 = q / A and z2 = C / q from the stable formula.  The speed |B'(t)| is
+    analytic but at the roots and their conjugates.  A root is pinned to its
+    real part while the pins' cost fits in tol / 4: moving z by |Im z| moves
+    the speed by at most |Im z| times |A| times the other factor's largest
+    |t - z| on [0, 1], and so moves the rule and the integral by that each.
+    ``splits`` holds 0, 1 and the real part of every root in (0, 1), so a
+    pinned root's kink only ever sits on a piece boundary.  ``bound`` is None
+    when every root is pinned or there is none: the speed is then a
+    polynomial of degree at most 2 on each piece, which the rule integrates
+    exactly.  Otherwise it is ``(unpinned roots as (x, y), tol, |A|, A.real,
+    A.imag, q.real, q.imag, z2.real, z2.imag)``, in units of the largest
+    |coefficient| of d.  A root too far out to be finite is no branch point
+    of any capped ellipse, and only the factor A t - q carries it.
+    """
+    ax, bx, cx, ay, by, cy = d
+    scale = max(abs(ax), abs(bx), abs(cx), abs(ay), abs(by), abs(cy))
+    if not scale:
+        return (0.0, 1.0), None
+    a, b, c = (complex(ax / scale, ay / scale), complex(bx / scale, by / scale),
+               complex(cx / scale, cy / scale))
+    root = (b * b - 4.0 * a * c) ** 0.5
+    if b.real * root.real + b.imag * root.imag < 0.0:
+        root = -root
+    q = -0.5 * (b + root)
+    if not q:  # A t^2 or the constant C: no branch point
+        return (0.0, 1.0), None
+    tol = _PIECE_TOLERANCE * max(whole, _LENGTH_FLOOR) / scale
+    budget = 0.25 * tol
+    z2 = c / q
+    # Each root with |A| times the other factor's largest |t - z| on [0, 1]
+    roots = [(z2, max(abs(q), abs(a - q)))]
+    if a:
+        z1 = q / a
+        if abs(z1) < math.inf:
+            roots.append((z1, abs(a) * max(abs(z2), abs(1.0 - z2))))
+    splits = {0.0, 1.0}
+    unpinned = ()
+    for z, other in roots:
+        x, y = z.real, z.imag
+        cost = 2.0 * abs(y) * other
+        if cost <= budget:
+            budget -= cost
+        else:
+            unpinned += ((x, y),)
+        if 0.0 < x < 1.0:
+            splits.add(x)
+    splits = tuple(sorted(splits))
+    if not unpinned:
+        return splits, None
+    return splits, (unpinned, tol, abs(a), a.real, a.imag, q.real, q.imag, z2.real, z2.imag)
+
+
+def _certified(lo: float, hi: float, bound: tuple) -> bool:
+    """Whether the rule on [lo, hi] is proven within tol * (hi - lo) / 2 of the arc length.
+
+    Trefethen (SIAM Review 2008, Thm 4.5): if the speed is analytic inside
+    the Bernstein ellipse E_rho of [lo, hi] and at most M there, the 16-node
+    rule misses by at most h (64/15) M rho^-32 / (rho^2 - 1), h = (hi - lo) / 2.
+    rho is that of the ellipse through the nearest unpinned root, whose
+    semi-major axis is s h; M = |A| (semi + |m - z1|)(semi + |m - z2|) about
+    the midpoint m, with |A| |m - z1| written |A m - q|.  A width of 0 never
+    reaches here.
+    """
+    unpinned, tol, lead, ax, ay, qx, qy, x2, y2 = bound
+    hypot = math.hypot
+    width = hi - lo
+    s = _S_CAP
+    for x, y in unpinned:
+        r = (hypot(x - lo, y) + hypot(x - hi, y)) / width
+        if r < s:
+            s = r
+    rho = s + math.sqrt(max(s * s - 1.0, 0.0))
+    semi = 0.5 * s * width
+    m = lo + 0.5 * width
+    big = (lead * semi + hypot(ax * m - qx, ay * m - qy)) * (semi + hypot(m - x2, y2))
+    return 4.3 * big * rho ** -32 <= tol * (rho * rho - 1.0)
 
 
 def _pieces(d: tuple[float, ...], whole: float,
             backward: bool) -> Iterator[tuple[float, float, float]]:
     """The accepted pieces ``(lo, hi, length)`` of t, lazily, in order of t or from t = 1.
 
-    ``whole`` is the rule over [0, 1], L0.  Both orders walk the same tree of
-    bisections, so they yield the same pieces.
+    ``whole`` is the rule over [0, 1], L0, which [0, 1] reuses.  Both orders
+    walk the same tree of bisections, so they yield the same pieces; a piece
+    costs a rule call only once it is accepted.
     """
-    roots = {*_unit_roots(*d[:3]), *_unit_roots(*d[3:])}
-    splits = sorted({0.0, 1.0, *roots})
-    tolerance = _PIECE_TOLERANCE * max(whole, _LENGTH_FLOOR)
+    splits, bound = _branch_points(d, whole)
     step = -1 if backward else 1
     for lo, hi in list(zip(splits, splits[1:]))[::step]:
-        stack = [(lo, hi, whole if not roots else _rule(d, lo, hi), 0)]
+        stack = [(lo, hi, 0)]
         while stack:
-            a, b, coarse, depth = stack.pop()
+            a, b, depth = stack.pop()
+            if bound is None or _certified(a, b, bound):
+                yield a, b, whole if b - a == 1.0 else _rule(d, a, b)
+                continue
             mid = 0.5 * (a + b)
-            left, right = _rule(d, a, mid), _rule(d, mid, b)
-            halves = ((a, mid, left), (mid, b, right))[::step]
-            if abs(left + right - coarse) > tolerance * (b - a) and depth < _MAX_DEPTH:
-                stack += [(*half, depth + 1) for half in reversed(halves)]
-            else:
-                yield from halves
+            if depth < _MAX_DEPTH and a < mid < b:
+                halves = ((mid, b, depth + 1), (a, mid, depth + 1))
+                stack += halves[::step]
+            else:  # uncertified: the one way to break the bound
+                yield a, b, _rule(d, a, b)
 
 
 def segment_length(segment: Segment) -> float:
@@ -265,7 +346,12 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
     ``length`` is their sum, and t is None if no piece holds it.  Inside that
     piece Newton runs on f(t) = rule(piece's low end, t) - wanted, whose
     derivative is the speed; a step that leaves the bracket, or a zero speed,
-    bisects.
+    bisects.  It starts where the second-order expansion of the length from
+    the piece's end nearest the cut reaches the rest, or from the linear guess
+    if that start leaves the piece.  A Newton step from t to t - f / v is
+    returned without measuring it once M2 (f / v)^2 <= tolerance: the speed
+    moves by at most M2 = max |B''| per unit of t, so the length to the new t
+    misses by at most M2 (f / v)^2 / 2 more than the rule's own error to t.
     """
     d = _derivative(segment)
     whole = _rule(d, 0.0, 1.0)
@@ -278,10 +364,27 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
         summed += piece
     else:
         return None, summed
-    wanted = piece - (remaining - summed) if backward else remaining - summed
+    rest = remaining - summed
+    wanted = piece - rest if backward else rest
     tolerance = _NEWTON_TOLERANCE * whole
+    ax, bx, cx, ay, by, cy = d
+    # From the end e: v D + v' D^2 / 2 = rest, v' the speed's slope away from e.
+    e = hi if backward else lo
+    dx, dy = (ax * e + bx) * e + cx, (ay * e + by) * e + cy
+    ddx, ddy = 2.0 * ax * e + bx, 2.0 * ay * e + by
+    v = math.hypot(dx, dy)
+    t = math.nan
+    if v > 0.0:
+        slope = (dx * ddx + dy * ddy) / v
+        radicand = v * v + 2.0 * rest * (-slope if backward else slope)
+        if radicand >= 0.0:
+            reach = 2.0 * rest / (v + math.sqrt(radicand))
+            t = e - reach if backward else e + reach
+    if not lo < t < hi:
+        t = lo + (hi - lo) * min(wanted / piece, 1.0) if piece > 0.0 else 0.5 * (lo + hi)
+    # M2: B'' is affine in t, so |B''| is largest on [0, 1] at an end.
+    m2 = max(math.hypot(bx, by), math.hypot(2.0 * ax + bx, 2.0 * ay + by))
     a, b = lo, hi
-    t = lo + (hi - lo) * min(wanted / piece, 1.0) if piece > 0.0 else 0.5 * (lo + hi)
     while True:
         f = _rule(d, lo, t) - wanted
         if abs(f) <= tolerance:
@@ -291,11 +394,14 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
         else:
             b = t
         speed = _speed(d, t)
-        step = t - f / speed if speed > 0.0 else math.nan
+        move = f / speed if speed > 0.0 else math.nan
+        step = t - move
         if not a < step < b:
             step = 0.5 * (a + b)
             if not a < step < b:
                 return step, summed
+        elif m2 * move * move <= tolerance:
+            return step, summed
         t = step
 
 
