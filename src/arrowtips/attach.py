@@ -12,9 +12,10 @@ any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  With tol = 1e-12 * L0,
 L0 the rule over [0, 1] (floored at subnormal scales), the budget is:
 
 - pins, at most tol / 4: a root of B'(t) = x' + i y' that close to the real
-  axis is taken as real (``_branch_points``);
+  axis is moved onto it, at its split (``_branch_points``);
 - pieces, at most tol / 2: [0, 1] is split at the real part of every root
-  in it, so a kink only ever sits on a piece boundary, and each piece [a, b]
+  in it, real parts a few ulps apart sharing one split, so a kink only ever
+  sits on a piece boundary, and each piece [a, b]
   is bisected until the bound puts the rule on it within tol * (b - a) / 2
   (``_certified``);
 - rounding: the rule's, about 16 ulp of a piece, and the roots', a few ulp
@@ -192,18 +193,19 @@ def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...
 
     B'(t) = x' + i y' = A t^2 + B t + C = (A t - q)(t - z2), with the roots
     z1 = q / A and z2 = C / q from the stable formula.  The speed |B'(t)| is
-    analytic but at the roots and their conjugates.  A root is pinned to its
-    real part while the pins' cost fits in tol / 4: moving z by |Im z| moves
-    the speed by at most |Im z| times |A| times the other factor's largest
-    |t - z| on [0, 1], and so moves the rule and the integral by that each.
-    ``splits`` holds 0, 1 and the real part of every root in (0, 1), so a
-    pinned root's kink only ever sits on a piece boundary.  ``bound`` is None
-    when every root is pinned or there is none: the speed is then a
-    polynomial of degree at most 2 on each piece, which the rule integrates
-    exactly.  Otherwise it is ``(unpinned roots as (x, y), tol, |A|, A.real,
-    A.imag, q.real, q.imag, z2.real, z2.imag)``, in units of the largest
-    |coefficient| of d.  A root too far out to be finite is no branch point
-    of any capped ellipse, and only the factor A t - q carries it.
+    analytic but at the roots and their conjugates.  ``splits`` holds 0, 1
+    and the real part of every root in (0, 1), but two real parts a few ulps
+    apart, as a double root's are, share one split.  A root is pinned to its
+    split (to its real part if it has none) while the pins' cost fits in
+    tol / 4: moving z by |z - pin| moves the speed by at most that times |A|
+    times the other factor's largest |t - z| on [0, 1], and so moves the rule
+    and the integral by that each.  So a pinned root's kink only ever sits on
+    a piece boundary.  ``bound`` is None when every root is pinned or there
+    is none: the speed is then a polynomial of degree at most 2 on each
+    piece, which the rule integrates exactly.  Otherwise it is ``(unpinned
+    roots as (x, y), tol, |A|, A.real, A.imag, B.real, B.imag, C.real,
+    C.imag)``, in units of the largest |coefficient| of d.  A root too far
+    out to be finite is no branch point of any capped ellipse, and is dropped.
     """
     ax, bx, cx, ay, by, cy = d
     scale = max(abs(ax), abs(bx), abs(cx), abs(ay), abs(by), abs(cy))
@@ -223,24 +225,28 @@ def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...
     # Each root with |A| times the other factor's largest |t - z| on [0, 1]
     roots = [(z2, max(abs(q), abs(a - q)))]
     if a:
-        z1 = q / a
-        if abs(z1) < math.inf:
-            roots.append((z1, abs(a) * max(abs(z2), abs(1.0 - z2))))
-    splits = {0.0, 1.0}
+        roots.append((q / a, abs(a) * max(abs(z2), abs(1.0 - z2))))
+    splits = [0.0, 1.0]
     unpinned = ()
     for z, other in roots:
+        if not abs(z) < math.inf:
+            continue
         x, y = z.real, z.imag
-        cost = 2.0 * abs(y) * other
+        pin = x
+        for split in splits:
+            if abs(x - split) <= 4.0 * math.ulp(x):
+                pin = split
+        cost = 2.0 * abs(z - pin) * other
         if cost <= budget:
             budget -= cost
         else:
             unpinned += ((x, y),)
-        if 0.0 < x < 1.0:
-            splits.add(x)
-    splits = tuple(sorted(splits))
+        if 0.0 < pin < 1.0 and pin not in splits:
+            splits.append(pin)
+    splits.sort()
     if not unpinned:
-        return splits, None
-    return splits, (unpinned, tol, abs(a), a.real, a.imag, q.real, q.imag, z2.real, z2.imag)
+        return tuple(splits), None
+    return tuple(splits), (unpinned, tol, abs(a), a.real, a.imag, b.real, b.imag, c.real, c.imag)
 
 
 def _certified(lo: float, hi: float, bound: tuple) -> bool:
@@ -250,11 +256,13 @@ def _certified(lo: float, hi: float, bound: tuple) -> bool:
     the Bernstein ellipse E_rho of [lo, hi] and at most M there, the 16-node
     rule misses by at most h (64/15) M rho^-32 / (rho^2 - 1), h = (hi - lo) / 2.
     rho is that of the ellipse through the nearest unpinned root, whose
-    semi-major axis is s h; M = |A| (semi + |m - z1|)(semi + |m - z2|) about
-    the midpoint m, with |A| |m - z1| written |A m - q|.  A width of 0 never
-    reaches here.
+    semi-major axis is s h.  About the midpoint m, B'(m + w) = B'(m) +
+    B''(m) w + A w^2 exactly, and the ellipse lies in the disc |w| <= semi,
+    so M = |B'(m)| + |B''(m)| semi + |A| semi^2.  It reads no root, and it is
+    finite, since s is capped and no coefficient exceeds sqrt(2).  A width
+    of 0 never reaches here.
     """
-    unpinned, tol, lead, ax, ay, qx, qy, x2, y2 = bound
+    unpinned, tol, lead, ax, ay, bx, by, cx, cy = bound
     hypot = math.hypot
     width = hi - lo
     s = _S_CAP
@@ -265,7 +273,8 @@ def _certified(lo: float, hi: float, bound: tuple) -> bool:
     rho = s + math.sqrt(max(s * s - 1.0, 0.0))
     semi = 0.5 * s * width
     m = lo + 0.5 * width
-    big = (lead * semi + hypot(ax * m - qx, ay * m - qy)) * (semi + hypot(m - x2, y2))
+    big = ((lead * semi + hypot(2.0 * ax * m + bx, 2.0 * ay * m + by)) * semi
+           + hypot((ax * m + bx) * m + cx, (ay * m + by) * m + cy))
     return 4.3 * big * rho ** -32 <= tol * (rho * rho - 1.0)
 
 

@@ -180,13 +180,16 @@ def test_segment_length_is_within_1e_12_of_the_reference(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_a_cut_from_either_end_removes_its_amount_to_1e_12_of_the_length(family):
+def test_a_cut_from_either_end_removes_its_amount_within_the_proven_bound(family):
     rng = random.Random(f"cuts-{family}")
     for points in FAMILIES[family]:
         reference = reference_length(points)
         host = HostPath((_segment(points),))
-        # Newton stops within 1e-12 * L0 of the amount; the pieces' proven
-        # share is 3/4 of that again, but in fact is below 1e-15 of it.
+        # attach.py proves 7/4 of 1e-12 * L0: Newton's stop, 1e-12 * L0, the
+        # pieces, half that, and the pins, a quarter.  In fact the pieces and
+        # pins stay below 1e-15 of it, so the worst miss here is just under
+        # 1e-12 * L0; the bound leaves room for Newton stopping elsewhere in
+        # its window on a platform whose roots differ by an ulp.
         whole = _rule(_derivative(host.segments[0]), 0.0, 1.0)
         for side in (Side.START, Side.END):
             amount = rng.uniform(0.001, 0.5) * reference
@@ -196,4 +199,4 @@ def test_a_cut_from_either_end_removes_its_amount_to_1e_12_of_the_length(family)
                 pytest.fail(f"{points} cut by {amount} at {side}")
             removed = reference - reference_length(_points(kept.segments[0]))
             miss = abs(removed - amount)
-            assert miss <= 1e-12 * whole + 2 * REFERENCE_ERROR * reference, (points, side)
+            assert miss <= 1.75e-12 * whole + 2 * REFERENCE_ERROR * reference, (points, side)

@@ -422,14 +422,20 @@ def test_near_cusp_kept_piece_length_is_within_1e_12():
 # Each host has a root at an extreme distance from a piece.  The first's
 # sits 4.5e-193 from t = 0, so on the piece from 0 to it the other root's
 # s = (|z - a| + |z - b|) / (b - a) is about 3e192; the second's y' makes a
-# root 4e307 out, and its s overflows on [0, 0.25].  A bound that lets s, or
-# a semi-axis drawn from it, reach inf gets NaN, accepts no piece, and
-# bisects every piece down to the depth cap.
+# root 4e307 out, and its s overflows on [0, 0.25].  The third's B'(t) has
+# no t^2 term and a t term of 2^-1074 next to its constant, so its one root
+# C / q is (-20, -inf).  A bound that lets s, a semi-axis drawn from it, or
+# a root reach inf gets inf or NaN, accepts no piece, and bisects every
+# piece down to the depth cap.
+_U = 2.0 ** -1074
+
+
 @pytest.mark.parametrize("points, length, pieces", [
     (((0.0, 0.0), (0.0, 9.66831145605966e-189), (-64.88238993520454, -0.39073112848927377),
       (-22.540313380531686, 75.15137990046651)), 100.73132751460149, 8),
     (((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (-3.0, 1e-307)), 3.75, 2),
-], ids=["root-4.5e-193-from-an-end", "root-4e307-out"])
+    (((0.0, 0.0), (20 * _U, 1.0), (41 * _U, 2.0), (63 * _U, 3.0)), 3.0, 1),
+], ids=["root-4.5e-193-from-an-end", "root-4e307-out", "root-at-infinity"])
 def test_a_root_at_an_extreme_distance_leaves_a_finite_piece_table(points, length, pieces):
     host = cubic_host(*points)
     assert _piece_count(host.segments[0]) <= pieces
@@ -437,6 +443,12 @@ def test_a_root_at_an_extreme_distance_leaves_a_finite_piece_table(points, lengt
     for side in (Side.START, Side.END):
         got = shorten(host, side, 0.5 * length)
         assert path_length(host) - path_length(got) == pytest.approx(0.5 * length, abs=1e-9)
+
+
+def test_roots_whose_real_parts_differ_by_rounding_share_one_split():
+    # README's cubic has roots 0.4999999999999999 - 3.5i and
+    # 0.5000000000000001 - 0.5i: one split, not a piece two ulps wide
+    assert _piece_count(README_CUBIC) == 2
 
 
 def test_subnormal_cubic_is_not_subdivided():
