@@ -8,8 +8,9 @@ and the placed drawables.
 
 Cubic arc length is adaptive 16-point Gauss-Legendre quadrature of the speed
 |B'(t)| (Gravesen's subdivision approach), with an error bound proven before
-any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  With tol = 1e-12 * L0,
-L0 the rule over [0, 1] (floored at subnormal scales), the budget is:
+any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  One tol, 1e-12 * L0
+with L0 the rule over [0, 1] floored at 1e-280 pt, serves pins, pieces and
+Newton alike.  The budget is:
 
 - pins, at most tol / 4: a root of B'(t) = x' + i y' that close to the real
   axis is moved onto it, at its split (``_branch_points``);
@@ -22,15 +23,14 @@ L0 the rule over [0, 1] (floored at subnormal scales), the budget is:
   of the largest coefficient of B'(t) per unit of t.
 
 So a segment's length is within 3/4 tol of its arc length, plus rounding.
-Only a piece that the depth cap of 50 bisections stops uncertified can break
-that bound.  A cut measures the same pieces from its own end, in order, only
-up to the one that holds the cut.  Inside it, Newton stops once the rule's
-length to t is within tol of the wanted one, or returns a step unmeasured
-once its miss is proven within tol / 2 (``_cubic_cut``).  The rule to t
-keeps its piece's bound, since the Bernstein ellipse of a sub-interval lies
-inside the piece's.  So ``shorten`` removes its amount to within 7/4 tol
-plus rounding.  A segment's length is the same walk run to the end: a cut
-that no piece holds.
+Only a piece too narrow to halve can break that bound.  A cut measures the
+same pieces from its own end, in order, only up to the one that holds the
+cut.  Inside it, Newton stops once the rule's length to t is within tol of
+the wanted one, or returns a step unmeasured once its miss is proven within
+tol / 2 (``_cubic_cut``).  The rule to t keeps its piece's bound, since the
+Bernstein ellipse of a sub-interval lies inside the piece's.  So ``shorten``
+removes its amount to within 7/4 tol plus rounding.  A segment's length is
+the same walk run to the end: a cut that no piece holds.
 """
 
 from __future__ import annotations
@@ -144,15 +144,13 @@ _GL_POSITIVE = (
     (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
 )
 
-# The error budget, in units of tol = _PIECE_TOLERANCE * max(L0, _LENGTH_FLOOR):
-# pinned roots may spend a quarter, and each piece [a, b] (b - a) / 2 of it.
-_PIECE_TOLERANCE = 1e-12
-_MAX_DEPTH = 50
+# tol = _TOLERANCE * max(L0, _LENGTH_FLOOR), L0 the rule over [0, 1]: pinned
+# roots may spend a quarter of it, each piece [a, b] (b - a) / 2, and Newton
+# stops once the length to t is within tol.
+_TOLERANCE = 1e-12
 # A cubic shorter than this (pt) gets the tolerance of one this long: at
 # subnormal scales the rule's own rounding exceeds 1e-12 of the length.
 _LENGTH_FLOOR = 1e-280
-# Inversion stops once the length to t is within this share of L0, the rule over [0, 1].
-_NEWTON_TOLERANCE = 1e-12
 # The least s = (|z - a| + |z - b|) / (b - a) over the branch points is
 # capped here, which only shrinks the ellipse: its rho = s + sqrt(s^2 - 1) is
 # then at most 2^16, so no s^2, rho^-32 or semi-axis overflows or underflows.
@@ -219,7 +217,7 @@ def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...
     q = -0.5 * (b + root)
     if not q:  # A t^2 or the constant C: no branch point
         return (0.0, 1.0), None
-    tol = _PIECE_TOLERANCE * max(whole, _LENGTH_FLOOR) / scale
+    tol = _TOLERANCE * max(whole, _LENGTH_FLOOR) / scale
     budget = 0.25 * tol
     z2 = c / q
     # Each root with |A| times the other factor's largest |t - z| on [0, 1]
@@ -282,25 +280,23 @@ def _pieces(d: tuple[float, ...], whole: float,
             backward: bool) -> Iterator[tuple[float, float, float]]:
     """The accepted pieces ``(lo, hi, length)`` of t, lazily, in order of t or from t = 1.
 
-    ``whole`` is the rule over [0, 1], L0, which [0, 1] reuses.  Both orders
-    walk the same tree of bisections, so they yield the same pieces; a piece
-    costs a rule call only once it is accepted.
+    ``whole`` is the rule over [0, 1], L0, which [0, 1] reuses.  A piece is
+    halved until certified or too narrow to halve; both orders walk the same
+    tree, so they yield the same pieces, each a rule call once accepted.
     """
     splits, bound = _branch_points(d, whole)
     step = -1 if backward else 1
-    for lo, hi in list(zip(splits, splits[1:]))[::step]:
-        stack = [(lo, hi, 0)]
-        while stack:
-            a, b, depth = stack.pop()
-            if bound is None or _certified(a, b, bound):
-                yield a, b, whole if b - a == 1.0 else _rule(d, a, b)
-                continue
-            mid = 0.5 * (a + b)
-            if depth < _MAX_DEPTH and a < mid < b:
-                halves = ((mid, b, depth + 1), (a, mid, depth + 1))
-                stack += halves[::step]
-            else:  # uncertified: the one way to break the bound
-                yield a, b, _rule(d, a, b)
+    stack = list(zip(splits, splits[1:]))[::-step]
+    while stack:
+        a, b = stack.pop()
+        if bound is None or _certified(a, b, bound):
+            yield a, b, whole if b - a == 1.0 else _rule(d, a, b)
+            continue
+        mid = 0.5 * (a + b)
+        if a < mid < b:
+            stack += ((mid, b), (a, mid))[::step]
+        else:  # uncertified: the one way to break the bound
+            yield a, b, _rule(d, a, b)
 
 
 def segment_length(segment: Segment) -> float:
@@ -375,7 +371,7 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
         return None, summed
     rest = remaining - summed
     wanted = piece - rest if backward else rest
-    tolerance = _NEWTON_TOLERANCE * whole
+    tolerance = _TOLERANCE * max(whole, _LENGTH_FLOOR)
     ax, bx, cx, ay, by, cy = d
     # From the end e: v D + v' D^2 / 2 = rest, v' the speed's slope away from e.
     e = hi if backward else lo
@@ -390,7 +386,7 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
             reach = 2.0 * rest / (v + math.sqrt(radicand))
             t = e - reach if backward else e + reach
     if not lo < t < hi:
-        t = lo + (hi - lo) * min(wanted / piece, 1.0) if piece > 0.0 else 0.5 * (lo + hi)
+        t = lo + (hi - lo) * min(wanted / piece, 1.0)
     # M2: B'' is affine in t, so |B''| is largest on [0, 1] at an end.
     m2 = max(math.hypot(bx, by), math.hypot(2.0 * ax + bx, 2.0 * ay + by))
     a, b = lo, hi

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from arrowtips._tips import PLACED
 from arrowtips.attach import (
     _GL_POSITIVE,
+    _certified,
     _cubic_cut,
     _derivative,
     _pieces,
@@ -426,7 +427,7 @@ def test_near_cusp_kept_piece_length_is_within_1e_12():
 # no t^2 term and a t term of 2^-1074 next to its constant, so its one root
 # C / q is (-20, -inf).  A bound that lets s, a semi-axis drawn from it, or
 # a root reach inf gets inf or NaN, accepts no piece, and bisects every
-# piece down to the depth cap.
+# piece until no piece can be halved.
 _U = 2.0 ** -1074
 
 
@@ -449,6 +450,34 @@ def test_roots_whose_real_parts_differ_by_rounding_share_one_split():
     # README's cubic has roots 0.4999999999999999 - 3.5i and
     # 0.5000000000000001 - 0.5i: one split, not a piece two ulps wide
     assert _piece_count(README_CUBIC) == 2
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_a_piece_that_never_certifies_is_halved_down_to_one_ulp(monkeypatch, backward):
+    t0 = 0.3
+    whole = segment_length(README_CUBIC)
+    d = _derivative(README_CUBIC)
+    monkeypatch.setattr("arrowtips.attach._certified",
+                        lambda lo, hi, bound: not lo <= t0 <= hi and _certified(lo, hi, bound))
+    pieces = [(lo, hi) for lo, hi, _ in _pieces(d, _rule(d, 0.0, 1.0), backward)]
+    walk = pieces[::-1] if backward else pieces
+    assert walk[0][0] == 0.0 and walk[-1][1] == 1.0
+    assert all(left[1] == right[0] for left, right in zip(walk, walk[1:]))
+    assert (math.nextafter(t0, 0.0), t0) in pieces and (t0, math.nextafter(t0, 1.0)) in pieces
+    assert len(pieces) <= 64
+    assert abs(segment_length(README_CUBIC) - whole) <= 1e-12 * whole
+
+
+def test_a_cubic_with_four_equal_points_has_no_length():
+    # B'(t) is 0: no branch point, and [0, 1] is one piece of length 0
+    p = Point(0.0, 0.0)
+    cubic = CubicSegment(p, p, p, p)
+    host = HostPath((cubic, LineSegment(p, Point(10.0, 0.0))))
+    assert segment_length(cubic) == 0.0
+    assert path_length(host) == 10.0
+    kept_line = LineSegment(Point(1.0, 0.0), Point(10.0, 0.0))
+    assert shorten(host, Side.START, 1.0).segments == (kept_line,)
+    assert shorten(host, Side.END, 1.0).segments[0] is cubic
 
 
 def test_subnormal_cubic_is_not_subdivided():
@@ -631,7 +660,9 @@ def test_bisection_with_no_tolerance_ends_on_the_collapsed_bracket(monkeypatch, 
                                                                     amount, backward):
     expected, _ = _cubic_cut(README_CUBIC, amount, backward)
     no_speed.clear()
-    monkeypatch.setattr("arrowtips.attach._NEWTON_TOLERANCE", 0.0)
+    monkeypatch.setattr("arrowtips.attach._TOLERANCE", 0.0)
+    # with no tolerance no piece certifies: keep README's two split pieces
+    monkeypatch.setattr("arrowtips.attach._certified", lambda lo, hi, bound: True)
     t, _ = _cubic_cut(README_CUBIC, amount, backward)
     # t is an end of the last bracket, and the other end is its float neighbour
     assert t in no_speed

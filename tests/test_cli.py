@@ -213,6 +213,14 @@ def test_render_cubic_host(tmp_path):
     assert len(paths) == 3  # host plus one drawable per tip
 
 
+def test_render_cubic_host_with_point_cubics(tmp_path):
+    # both cubics have four equal points: no length, and no branch point
+    out = tmp_path / "arrow.svg"
+    path = "M 0,0 C 0,0 0,0 0,0 L 10,0 C 10,0 10,0 10,0"
+    assert run(["render", "--spec", "[-latex'", "--path", path, "--out", str(out)]) == 0
+    ET.fromstring(out.read_text(encoding="utf-8"))
+
+
 def test_render_rejects_bad_spec(tmp_path, capsys):
     out = tmp_path / "x.svg"
     assert run(["render", "--spec", "latex'", "--path", CUBIC, "--out", str(out)]) == 2
