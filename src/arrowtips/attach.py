@@ -8,9 +8,24 @@ and the placed drawables.
 
 Cubic arc length is adaptive 16-point Gauss-Legendre quadrature of the speed
 |B'(t)| (Gravesen's subdivision approach), with an error bound proven before
-any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  One tol, 1e-12 * L0
-with L0 the rule over [0, 1] floored at 1e-280 pt, serves pins, pieces and
-Newton alike.  The budget is:
+any rule call (Trefethen, SIAM Review 2008, Thm 4.5).  One tol serves every
+bound: 1e-12 * l, with l the polyline through B(t) at t = 0, 1/4, 1/2, 3/4
+and 1, floored at 1e-280 pt.  l is at most the arc length, so every bound is
+at least as tight as one scaled by the length.
+
+A cut first tries the stretch J = [e, e + delta] or [e - delta, e] at its own
+end e.  With v = |B'(e)|, v1 = |B''(e)| and A the t^2 coefficient of B'(t),
+|B'(e + w)| >= v - v1 |w| - |A| |w|^2, and so for its conjugate: neither has
+a root for |w| < r, where that bound reaches 0, and the speed is at most 2v
+there.  delta < 3r/4 puts the Bernstein ellipse E_3 of J inside that disc,
+so 8.6 v <= 8 * 3^32 * tol proves the rule on J, and on every sub-interval
+of J, within tol / 2.  If the chord across J exceeds the amount plus tol
+plus its rounding, the cut lies in J, and Newton runs there: no root is
+solved and no piece is measured.  Such a cut removes its amount to within
+3/2 tol plus rounding.
+
+Otherwise, and always for a segment's length, the cut walks pieces of
+[0, 1].  The budget is:
 
 - pins, at most tol / 4: a root of B'(t) = x' + i y' that close to the real
   axis is moved onto it, at its split (``_branch_points``);
@@ -25,12 +40,14 @@ Newton alike.  The budget is:
 So a segment's length is within 3/4 tol of its arc length, plus rounding.
 Only a piece too narrow to halve can break that bound.  A cut measures the
 same pieces from its own end, in order, only up to the one that holds the
-cut.  Inside it, Newton stops once the rule's length to t is within tol of
-the wanted one, or returns a step unmeasured once its miss is proven within
-tol / 2 (``_cubic_cut``).  The rule to t keeps its piece's bound, since the
-Bernstein ellipse of a sub-interval lies inside the piece's.  So ``shorten``
-removes its amount to within 7/4 tol plus rounding.  A segment's length is
-the same walk run to the end: a cut that no piece holds.
+cut.  On either path Newton measures from the cut-side end of the stretch
+or piece that holds the cut.  It stops once the rule's length is within tol
+of the rest of the amount, or returns a step unmeasured once its miss is
+proven within tol / 2 (``_cubic_cut``).  The rule to t keeps its stretch's
+or piece's bound, since the Bernstein ellipse of a sub-interval lies inside
+the whole one's.  So ``shorten`` removes its amount to within 7/4 tol plus
+rounding.  A segment's length is the same walk run to the end: a cut that
+no piece holds.
 """
 
 from __future__ import annotations
@@ -144,9 +161,10 @@ _GL_POSITIVE = (
     (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
 )
 
-# tol = _TOLERANCE * max(L0, _LENGTH_FLOOR), L0 the rule over [0, 1]: pinned
-# roots may spend a quarter of it, each piece [a, b] (b - a) / 2, and Newton
-# stops once the length to t is within tol.
+# tol = _TOLERANCE * max(l, _LENGTH_FLOOR), l the polyline through B(t) at
+# t = 0, 1/4, 1/2, 3/4, 1: pinned roots may spend a quarter of it, each piece
+# [a, b] (b - a) / 2, the end stretch a half, and Newton stops once the
+# length to t is within tol.
 _TOLERANCE = 1e-12
 # A cubic shorter than this (pt) gets the tolerance of one this long: at
 # subnormal scales the rule's own rounding exceeds 1e-12 of the length.
@@ -186,7 +204,7 @@ def _rule(d: tuple[float, ...], lo: float, hi: float) -> float:
     return half * total
 
 
-def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...], tuple | None]:
+def _branch_points(d: tuple[float, ...], tol: float) -> tuple[tuple[float, ...], tuple | None]:
     """``(splits, bound)``: where to split [0, 1], and what ``_certified`` reads.
 
     B'(t) = x' + i y' = A t^2 + B t + C = (A t - q)(t - z2), with the roots
@@ -217,7 +235,7 @@ def _branch_points(d: tuple[float, ...], whole: float) -> tuple[tuple[float, ...
     q = -0.5 * (b + root)
     if not q:  # A t^2 or the constant C: no branch point
         return (0.0, 1.0), None
-    tol = _TOLERANCE * max(whole, _LENGTH_FLOOR) / scale
+    tol /= scale
     budget = 0.25 * tol
     z2 = c / q
     # Each root with |A| times the other factor's largest |t - z| on [0, 1]
@@ -276,21 +294,21 @@ def _certified(lo: float, hi: float, bound: tuple) -> bool:
     return 4.3 * big * rho ** -32 <= tol * (rho * rho - 1.0)
 
 
-def _pieces(d: tuple[float, ...], whole: float,
+def _pieces(d: tuple[float, ...], tol: float,
             backward: bool) -> Iterator[tuple[float, float, float]]:
     """The accepted pieces ``(lo, hi, length)`` of t, lazily, in order of t or from t = 1.
 
-    ``whole`` is the rule over [0, 1], L0, which [0, 1] reuses.  A piece is
-    halved until certified or too narrow to halve; both orders walk the same
-    tree, so they yield the same pieces, each a rule call once accepted.
+    A piece is halved until certified within ``tol`` * (hi - lo) / 2 or too
+    narrow to halve; both orders walk the same tree, so they yield the same
+    pieces, each a rule call once accepted.
     """
-    splits, bound = _branch_points(d, whole)
+    splits, bound = _branch_points(d, tol)
     step = -1 if backward else 1
     stack = list(zip(splits, splits[1:]))[::-step]
     while stack:
         a, b = stack.pop()
         if bound is None or _certified(a, b, bound):
-            yield a, b, whole if b - a == 1.0 else _rule(d, a, b)
+            yield a, b, _rule(d, a, b)
             continue
         mid = 0.5 * (a + b)
         if a < mid < b:
@@ -347,37 +365,76 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
                backward: bool) -> tuple[float | None, float]:
     """``(t, length)``: t is ``remaining`` of arc length from the cut end (t = 1 if ``backward``).
 
-    Pieces are measured from the cut end only up to the one that holds t;
-    ``length`` is their sum, and t is None if no piece holds it.  Inside that
-    piece Newton runs on f(t) = rule(piece's low end, t) - wanted, whose
-    derivative is the speed; a step that leaves the bracket, or a zero speed,
-    bisects.  It starts where the second-order expansion of the length from
-    the piece's end nearest the cut reaches the rest, or from the linear guess
-    if that start leaves the piece.  A Newton step from t to t - f / v is
-    returned without measuring it once M2 (f / v)^2 <= tolerance: the speed
-    moves by at most M2 = max |B''| per unit of t, so the length to the new t
+    The cut end's stretch J holds t when the module docstring's test
+    certifies it and its chord reaches past ``remaining``; ``length`` is then
+    0.  Otherwise pieces are measured from the cut end only up to the one
+    that holds t; ``length`` is their sum, and t is None if no piece holds
+    it.  Inside J or that piece, Newton runs on f(t) = rule(lo, t) - rest
+    going forward and rest - rule(t, hi) going backward, rest being
+    ``remaining`` less ``length``.  Its derivative is the speed; a step that
+    leaves the bracket, or a zero speed, bisects.  It starts where the
+    second-order expansion of the length from the cut-side end reaches the
+    rest, or from the linear guess over J's chord or the piece's length if
+    that start leaves the span.  A Newton step from t to t - f / v is
+    returned without measuring it once M2 (f / v)^2 <= tol: the speed moves
+    by at most M2 = max |B''| per unit of t, so the length to the new t
     misses by at most M2 (f / v)^2 / 2 more than the rule's own error to t.
     """
     d = _derivative(segment)
-    whole = _rule(d, 0.0, 1.0)
-    if not math.isfinite(whole):
-        raise ValueError("path length overflows")
-    summed = 0.0
-    for lo, hi, piece in _pieces(d, whole, backward):
-        if remaining < summed + piece:
-            break
-        summed += piece
-    else:
-        return None, summed
-    rest = remaining - summed
-    wanted = piece - rest if backward else rest
-    tolerance = _TOLERANCE * max(whole, _LENGTH_FLOOR)
     ax, bx, cx, ay, by, cy = d
+    hypot = math.hypot
+    # B(u) - B(0) = ((A / 3 u + B / 2) u + C) u
+    a3x, b2x, a3y, b2y = ax / 3.0, 0.5 * bx, ay / 3.0, 0.5 * by
+    polyline = x = y = 0.0
+    for u in (0.25, 0.5, 0.75, 1.0):
+        px, py = x, y
+        x, y = ((a3x * u + b2x) * u + cx) * u, ((a3y * u + b2y) * u + cy) * u
+        polyline += hypot(x - px, y - py)
+    # A coefficient of d that is not finite makes the first chord so.
+    if not polyline < math.inf:
+        raise ValueError("path length overflows")
+    tol = _TOLERANCE * max(polyline, _LENGTH_FLOOR)
+    if backward:
+        e, dx, dy = 1.0, ax + bx + cx, ay + by + cy
+        ddx, ddy = 2.0 * ax + bx, 2.0 * ay + by
+    else:
+        e, dx, dy, ddx, ddy = 0.0, cx, cy, bx, by
+    v = hypot(dx, dy)
+    # span: J's chord, or the length of the piece that holds the cut
+    summed = span = 0.0
+    # _certified's test at rho = 3 and M = 2v: the rule on J is within
+    # tol * |J| / 2.
+    if 0.0 < v and 8.6 * v <= 8.0 * 3 ** 32 * tol:
+        v1, lead = hypot(ddx, ddy), hypot(ax, ay)
+        # r = 2v / den.  delta = 0.74 r falls short of 3r/4 by more than the
+        # rounding of v, v1 and lead; 5e-324 covers the products' rounding
+        # where they are subnormal.
+        den = v1 + math.sqrt(v1 * v1 + 4.0 * lead * v + 5e-324)
+        delta = min(1.48 * v / den, 1.0)
+        u = e - delta if backward else delta
+        fx, fy = ((a3x * u + b2x) * u + cx) * u, ((a3y * u + b2y) * u + cy) * u
+        # from F(e): F(0) = 0, and F(1) is the polyline's last point
+        chord = hypot(x - fx, y - fy) if backward else hypot(fx, fy)
+        # The chord's rounding: 64 * 2^-52 of v + v1 + 2 lead, which bounds
+        # every coefficient of d.
+        if chord > remaining + tol + (v + v1 + 2.0 * lead) / 2 ** 46:
+            lo, hi = (u, 1.0) if backward else (0.0, u)
+            span = chord
+    if not span:
+        for lo, hi, span in _pieces(d, tol, backward):
+            if not span < math.inf:
+                raise ValueError("path length overflows")
+            if remaining < summed + span:
+                break
+            summed += span
+        else:
+            return None, summed
+        e = hi if backward else lo
+        dx, dy = (ax * e + bx) * e + cx, (ay * e + by) * e + cy
+        ddx, ddy = 2.0 * ax * e + bx, 2.0 * ay * e + by
+        v = hypot(dx, dy)
+    rest = remaining - summed
     # From the end e: v D + v' D^2 / 2 = rest, v' the speed's slope away from e.
-    e = hi if backward else lo
-    dx, dy = (ax * e + bx) * e + cx, (ay * e + by) * e + cy
-    ddx, ddy = 2.0 * ax * e + bx, 2.0 * ay * e + by
-    v = math.hypot(dx, dy)
     t = math.nan
     if v > 0.0:
         slope = (dx * ddx + dy * ddy) / v
@@ -386,14 +443,17 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
             reach = 2.0 * rest / (v + math.sqrt(radicand))
             t = e - reach if backward else e + reach
     if not lo < t < hi:
-        t = lo + (hi - lo) * min(wanted / piece, 1.0)
+        reach = (hi - lo) * min(rest / span, 1.0)
+        t = hi - reach if backward else lo + reach
     # M2: B'' is affine in t, so |B''| is largest on [0, 1] at an end.
-    m2 = max(math.hypot(bx, by), math.hypot(2.0 * ax + bx, 2.0 * ay + by))
+    m2 = max(hypot(bx, by), hypot(2.0 * ax + bx, 2.0 * ay + by))
     a, b = lo, hi
     while True:
-        f = _rule(d, lo, t) - wanted
-        if abs(f) <= tolerance:
+        f = rest - _rule(d, t, hi) if backward else _rule(d, lo, t) - rest
+        if abs(f) <= tol:
             return t, summed
+        if not abs(f) < math.inf:
+            raise ValueError("path length overflows")
         if f < 0.0:
             a = t
         else:
@@ -405,7 +465,7 @@ def _cubic_cut(segment: CubicSegment, remaining: float,
             step = 0.5 * (a + b)
             if not a < step < b:
                 return step, summed
-        elif m2 * move * move <= tolerance:
+        elif m2 * move * move <= tol:
             return step, summed
         t = step
 

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from arrowtips._tips import PLACED
 from arrowtips.attach import (
     _GL_POSITIVE,
+    _LENGTH_FLOOR,
+    _TOLERANCE,
+    _branch_points,
     _certified,
     _cubic_cut,
     _derivative,
@@ -388,8 +391,17 @@ NEAR_CUSP = cubic_host(
 )
 
 
-def test_looping_cubic_has_its_closed_form_length():
-    assert path_length(LOOP) == pytest.approx(LOOP_LENGTH, abs=1e-9)
+# A closed cubic: x(t) = 3t (1 - t)(1 - 2t) runs out to 1 / (2 sqrt 3), back
+# to -1 / (2 sqrt 3) and home again, so B(0) = B(1/2) = B(1).
+CLOSED = CubicSegment(Point(0.0, 0.0), Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 0.0))
+
+
+@pytest.mark.parametrize("host, length, tolerance", [
+    (LOOP, LOOP_LENGTH, 1e-9),
+    (HostPath((CLOSED,)), 2.0 / math.sqrt(3.0), 1e-12),
+], ids=["loop", "closed"])
+def test_looping_cubic_has_its_closed_form_length(host, length, tolerance):
+    assert path_length(host) == pytest.approx(length, abs=tolerance)
 
 
 @pytest.mark.parametrize("side", [Side.START, Side.END])
@@ -399,9 +411,24 @@ def test_shortening_the_looping_cubic_removes_the_requested_arc_length(side, amo
     assert path_length(got) == pytest.approx(LOOP_LENGTH - amount, abs=1e-9)
 
 
+def _tol(segment):
+    """The cut's tol: 1e-12 of the polyline through B(t) at t = 0, 1/4, 1/2, 3/4, 1, floored."""
+    controls = _segment_points(segment)
+
+    def at(t):
+        s = 1.0 - t
+        weights = (s * s * s, 3.0 * s * s * t, 3.0 * s * t * t, t * t * t)
+        return (sum(w * p.x for w, p in zip(weights, controls)),
+                sum(w * p.y for w, p in zip(weights, controls)))
+
+    points = [at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    polyline = sum(math.dist(p, q) for p, q in zip(points, points[1:]))
+    return _TOLERANCE * max(polyline, _LENGTH_FLOOR)
+
+
 def _piece_count(segment):
     d = _derivative(segment)
-    return len(list(_pieces(d, _rule(d, 0.0, 1.0), False)))
+    return len(list(_pieces(d, _tol(segment), False)))
 
 
 def test_near_cusp_cubic_finishes_with_a_bounded_piece_table():
@@ -459,7 +486,7 @@ def test_a_piece_that_never_certifies_is_halved_down_to_one_ulp(monkeypatch, bac
     d = _derivative(README_CUBIC)
     monkeypatch.setattr("arrowtips.attach._certified",
                         lambda lo, hi, bound: not lo <= t0 <= hi and _certified(lo, hi, bound))
-    pieces = [(lo, hi) for lo, hi, _ in _pieces(d, _rule(d, 0.0, 1.0), backward)]
+    pieces = [(lo, hi) for lo, hi, _ in _pieces(d, _tol(README_CUBIC), backward)]
     walk = pieces[::-1] if backward else pieces
     assert walk[0][0] == 0.0 and walk[-1][1] == 1.0
     assert all(left[1] == right[0] for left, right in zip(walk, walk[1:]))
@@ -488,9 +515,9 @@ def test_subnormal_cubic_is_not_subdivided():
 
 
 def test_shortening_to_a_point_is_too_short():
-    # Half an ulp of 1e7 is 9.3e-10, far more than the 1e-12 * L0 = 9.2e-11
-    # of length within which Newton may stop, so the kept start collapses
-    # wherever in that window it stops.
+    # Half an ulp of 1e7 is 9.3e-10, far more than the tol of 1e-12 * 91.9 pt
+    # = 9.2e-11 of length within which Newton may stop, so the kept start
+    # collapses wherever in that window it stops.
     o = 1e7
     host = cubic_host((o + 65.0, o + 65.0), (o, o), (o, o), (o, o))
     with pytest.raises(PathTooShortError, match="collapses to a point"):
@@ -580,31 +607,77 @@ def test_a_dropped_lerp_that_overflows_still_raises(side):
         _split_cubic(segment, 0.5, side is Side.END)
 
 
-@pytest.mark.parametrize("side", [Side.START, Side.END])
-def test_a_cut_measures_the_cubic_only_up_to_the_cut(monkeypatch, side):
-    calls = []
+CONSTANT_SPEED = CubicSegment(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0))
+CUSP_AT_END = CubicSegment(Point(0.0, 0.0), Point(30.0, 40.0), Point(100.0, 0.0), Point(100.0, 0.0))
 
-    def counted(d, lo, hi):
-        calls.append((lo, hi))
+
+@pytest.fixture
+def quadrature(monkeypatch):
+    """The intervals ``_rule`` measures, and how often ``_branch_points`` runs."""
+    calls = {"rule": [], "walks": 0}
+
+    def rule(d, lo, hi):
+        calls["rule"].append((lo, hi))
         return _rule(d, lo, hi)
 
-    segment = CubicSegment(WIGGLE.start, WIGGLE.control1, WIGGLE.control2, WIGGLE.end)
-    monkeypatch.setattr("arrowtips.attach._rule", counted)
-    shorten(HostPath((segment,)), side, 1.0)
-    cut = list(calls)
-    calls.clear()
+    def branch_points(d, tol):
+        calls["walks"] += 1
+        return _branch_points(d, tol)
+
+    monkeypatch.setattr("arrowtips.attach._rule", rule)
+    monkeypatch.setattr("arrowtips.attach._branch_points", branch_points)
+    return calls
+
+
+# Every cut but the one at the cusp lies in the stretch that its end's disc
+# certifies, so it solves no root and measures only from its end.  At the
+# cusp the speed is 0, and the walk runs.  The constant-speed cubic's stretch
+# is all of [0, 1]: 2.9 of its 3 pt lies in it.
+@pytest.mark.parametrize("segment, side, amount", [
+    (WIGGLE, Side.START, 1.0), (WIGGLE, Side.END, 1.0),
+    (CONSTANT_SPEED, Side.START, 1.0), (CONSTANT_SPEED, Side.END, 1.0),
+    (CONSTANT_SPEED, Side.START, 2.9), (CONSTANT_SPEED, Side.END, 2.9),
+    (CLOSED, Side.START, 0.1), (CLOSED, Side.END, 0.1),
+    (CUSP_AT_END, Side.END, 1.0),
+], ids=["wiggle-start", "wiggle-end", "constant-start", "constant-end", "constant-start-2.9",
+        "constant-end-2.9", "closed-start", "closed-end", "cusp-end"])
+def test_a_cut_measures_the_cubic_only_up_to_the_cut(quadrature, segment, side, amount):
+    host = HostPath((segment,))
+    kept = shorten(host, side, amount)
+    cut, walks = list(quadrature["rule"]), quadrature["walks"]
+    # the cut's proven 7/4 tol, and 3/4 tol for each length
+    length = path_length(host)
+    assert length - path_length(kept) == pytest.approx(amount, abs=4e-12 * length)
+    assert len(cut) <= 10
+    backward = side is Side.END
+    if segment is CUSP_AT_END:
+        assert walks == 1
+    else:
+        assert walks == 0
+        assert all(interval[backward] == float(backward) for interval in cut)
+
+
+# WIGGLE's two pieces meet where y' = 0, at t = 0.89, and its START stretch
+# is 0.43 of t, a chord of 29 of its 64.7 pt.  A cut of 40 pt from that end, or
+# from the END of WIGGLE reversed, lies past the stretch but in the first piece.
+@pytest.mark.parametrize("side", [Side.START, Side.END])
+def test_a_cut_past_its_end_stretch_measures_only_the_pieces_on_its_side(quadrature, side):
+    backward = side is Side.END
+    segment = CubicSegment(*_segment_points(WIGGLE)[::-1]) if backward else WIGGLE
+    shorten(HostPath((segment,)), side, 40.0)
+    cut = list(quadrature["rule"])
+    quadrature["rule"].clear()
     segment_length(segment)
-    whole = set(calls)
-    # Measuring all of WIGGLE takes 7 calls: [0, 1], its two pieces split at
-    # y' = 0, and their halves.  The cut measures only the pieces on its side ...
-    assert 0 < len([interval for interval in cut if interval in whole]) < len(whole)
-    # ... and Newton measures from the low end of the one piece holding it.
+    whole = quadrature["rule"]
+    assert quadrature["walks"] == 2 and len(whole) == 2
+    assert len([interval for interval in cut if interval in whole]) == 1
+    # Newton measures from the cut-side end of the one piece holding the cut.
     newton = [interval for interval in cut if interval not in whole]
-    assert newton and len({lo for lo, _ in newton}) == 1
+    assert newton and {interval[backward] for interval in newton} == {float(backward)}
 
 
 def test_the_curves_arrows_make_few_quadrature_calls(differential, monkeypatch):
-    calls = {_rule: 0, _speed: 0}
+    calls = {_rule: 0, _speed: 0, _branch_points: 0}
 
     def counter(function):
         def counted(*args):
@@ -616,10 +689,13 @@ def test_the_curves_arrows_make_few_quadrature_calls(differential, monkeypatch):
         monkeypatch.setattr(f"arrowtips.attach.{function.__name__}", counter(function))
     # the first 400 arrows of each seed's curves_stream, as the script runs them
     differential.curves(range(1, 6), 400)
-    # Their 2276 cubic cuts take 8684 rule and 3783 speed calls: a piece is
-    # measured once, when accepted, and Newton's last step is not measured.
-    assert calls[_rule] <= 10_000
+    # Their 2276 cubic cuts take 4223 rule, 3801 speed and 97 _branch_points
+    # calls: most cuts lie in the stretch that their end's disc certifies, so
+    # they solve no root and measure no piece, and Newton's last step is not
+    # measured.
+    assert calls[_rule] <= 5_000
     assert calls[_speed] <= 4_500
+    assert calls[_branch_points] <= 200
 
 
 README_CUBIC = CubicSegment(Point(0.0, 0.0), Point(30.0, 40.0), Point(70.0, 40.0),
@@ -652,10 +728,10 @@ def test_a_cut_that_only_bisects_still_removes_its_amount(no_speed, side, amount
     assert abs(path_length(host) - path_length(kept) - amount) <= 2e-12 * whole
 
 
-# Each cut lands just past the low end of a piece, so the length wanted is
-# small: one ulp of t moves the rule by many ulps of it, and f does not hit 0
-# exactly before the bracket collapses.
-@pytest.mark.parametrize("amount, backward", [(60.7, False), (60.3, True)])
+# Each cut lands just past the cut-side end of a piece, so the length wanted
+# from it is small: one ulp of t moves the rule by many ulps of it, and f does
+# not hit 0 exactly before the bracket collapses.
+@pytest.mark.parametrize("amount, backward", [(60.7, False), (60.7, True)])
 def test_bisection_with_no_tolerance_ends_on_the_collapsed_bracket(monkeypatch, no_speed,
                                                                     amount, backward):
     expected, _ = _cubic_cut(README_CUBIC, amount, backward)
